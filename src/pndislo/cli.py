@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
 
 import numpy as np
@@ -33,7 +33,15 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting (for exit-code control)."""
+    """argparse that raises instead of exiting (for exit-code control).
+
+    Any token starting with '-' and a digit is a value, so negative numbers
+    in exponent form (``--c13 -6.25e-05``) are not mistaken for options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _ArgumentError(message)
@@ -320,8 +328,6 @@ def _global_parser():
     g = _Parser(add_help=False)
     g.add_argument("--config", default=None,
                    help="flat key = value file preloading subcommand flags")
-    g.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP thread pools")
     g.add_argument("--seed", type=int, default=12345,
                    help="seed for randomized property checks")
     return g
@@ -405,17 +411,6 @@ def _load_config(path):
     return pairs
 
 
-def _cap_threads(n: int):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -430,15 +425,12 @@ def main(argv=None) -> int:
                        None)
             if idx is None:
                 raise _ArgumentError("config given without a subcommand")
-            spliced = []
-            for key, val in _load_config(pre.config):
-                spliced.extend([f"--{key}", val])
+            # one "--key=value" token per pair: a value that starts with
+            # '-' must not be read as an option
+            spliced = [f"--{key}={val}"
+                       for key, val in _load_config(pre.config)]
             argv = argv[:idx + 1] + spliced + argv[idx + 1:]
         args = parser.parse_args(argv)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise _ArgumentError("--threads must be >= 1")
-            _cap_threads(args.threads)
         return args.fn(args)
     except _ArgumentError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

@@ -51,10 +51,6 @@ class Mode:
     a: np.ndarray            # 6-vector (value; derivative) at xn = 0
     b: np.ndarray            # 6-vector, zero for simple eigenvectors
 
-    @property
-    def is_generalized(self) -> bool:
-        return bool(np.any(self.b != 0.0))
-
 
 @dataclass
 class HalfSpaceSystem:
@@ -68,19 +64,29 @@ class HalfSpaceSystem:
     modes_grow: list                      # Re(lam) > 0 (lower half-space)
     T: np.ndarray = dfield(repr=False, default=None)  # physical -> transformed
 
-    def _propagator(self, modes, xn: float) -> np.ndarray:
+    def _propagator(self, modes, xn) -> np.ndarray:
+        # the mode matrix and its inverse are built once for all samples;
+        # xn of shape S broadcasts to mode columns of shape S + (3, 3)
+        x = np.asarray(xn, dtype=float)[..., None, None]
         V0 = np.column_stack([m.a[:3] for m in modes])
-        cols = [(m.a[:3] + xn * m.b[:3]) * np.exp(m.lam * xn) for m in modes]
-        Bt = np.column_stack(cols) @ np.linalg.inv(V0)
+        Vb = np.column_stack([m.b[:3] for m in modes])
+        lam = np.array([m.lam for m in modes])
+        cols = (V0 + x * Vb) * np.exp(lam * x)
+        Bt = cols @ np.linalg.inv(V0)
         Ti = np.diag(1.0 / np.diag(self.T))
         return Ti @ Bt @ self.T
 
-    def bplus(self, xn: float) -> np.ndarray:
-        """3x3 propagator for the upper half-space (physical variables)."""
+    def bplus(self, xn) -> np.ndarray:
+        """Propagator for the upper half-space (physical variables).
+
+        A scalar xn gives the 3x3 matrix; an array of shape S gives a stack
+        of shape S + (3, 3).
+        """
         return self._propagator(self.modes_decay, xn)
 
-    def bminus(self, xn: float) -> np.ndarray:
-        """3x3 propagator for the lower half-space (physical variables)."""
+    def bminus(self, xn) -> np.ndarray:
+        """Propagator for the lower half-space (physical variables); xn as
+        in `bplus`."""
         return self._propagator(self.modes_grow, xn)
 
     def dbplus0(self) -> np.ndarray:
@@ -313,8 +319,7 @@ class Field3D:
 
 def extend(orientation: str, ec: ElasticConstants,
            boundary_a: GridField2D, boundary_b: GridField2D,
-           x_normal: Sequence[float],
-           growth_tol: float = 1e-8) -> Field3D:
+           x_normal: Sequence[float]) -> Field3D:
     """Extend slip-plane displacement data into both half-spaces.
 
     boundary_a/boundary_b are the two in-plane displacement components on the
@@ -322,11 +327,8 @@ def extend(orientation: str, ec: ElasticConstants,
     "parallel".  The normal component follows from `normal_closure`.  The
     lower half-space uses u- = J u+ (slip jump conventions) with the
     growing-rate propagator; the zero frequency extends as a constant.
-
-    The construction uses decaying modes only; `growth_tol` bounds the
-    admissible relative contamination when inverting the mode matrix (a
-    conditioning guard: the mode matrix inversion is exact by construction,
-    so the check fires only on pathological inputs).
+    Each frequency's propagators are evaluated over all normal samples of a
+    half-space at once.
     """
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
@@ -337,32 +339,28 @@ def extend(orientation: str, ec: ElasticConstants,
     ua_hat = np.fft.fft2(boundary_a.values)
     ub_hat = np.fft.fft2(boundary_b.values)
     x_normal = np.sort(np.asarray(x_normal, dtype=float))
+    # sorted: samples [:i0] are below the slip plane, [i0:] above it
+    i0 = int(np.searchsorted(x_normal, 0.0))
+    x_minus, x_plus = x_normal[:i0], x_normal[i0:]
 
     out = np.zeros((3, len(x_normal), n1, n2), dtype=complex)
     slip_idx = (0, 2) if orientation == "perp" else (0, 1)
+    normal_idx = 1 if orientation == "perp" else 2
     for i in range(n1):
         for j in range(n2):
             k1, k2 = float(ka[i, j]), float(kb[i, j])
-            if k1 == 0.0 and k2 == 0.0:
-                up = np.zeros(3, dtype=complex)
-                up[slip_idx[0]] = ua_hat[i, j]
-                up[slip_idx[1]] = ub_hat[i, j]
-                for n in range(len(x_normal)):
-                    out[:, n, i, j] = up if x_normal[n] >= 0.0 else J @ up
-                continue
-            sys = build_halfspace(orientation, ec, k1, k2)
             up = np.zeros(3, dtype=complex)
             up[slip_idx[0]] = ua_hat[i, j]
             up[slip_idx[1]] = ub_hat[i, j]
-            normal_idx = 1 if orientation == "perp" else 2
+            if k1 == 0.0 and k2 == 0.0:
+                out[:, i0:, i, j] = up[:, None]
+                out[:, :i0, i, j] = (J @ up)[:, None]
+                continue
+            sys = build_halfspace(orientation, ec, k1, k2)
             up[normal_idx] = normal_closure(sys, ec, ua_hat[i, j],
                                             ub_hat[i, j])
-            um = J @ up
-            for n, xn in enumerate(x_normal):
-                if xn >= 0.0:
-                    out[:, n, i, j] = sys.bplus(xn) @ up
-                else:
-                    out[:, n, i, j] = sys.bminus(xn) @ um
+            out[:, i0:, i, j] = (sys.bplus(x_plus) @ up).T
+            out[:, :i0, i, j] = (sys.bminus(x_minus) @ (J @ up)).T
 
     vals = np.fft.ifft2(out, axes=(2, 3))
     imag = np.max(np.abs(vals.imag))

@@ -139,6 +139,27 @@ def test_config_preload_and_flag_precedence(tmp_path, capsys):
     assert base["k1"] == 1.0
 
 
+def test_negative_exponent_value_on_command_line(capsys):
+    code, out, _ = run(["validate", "--c11", "3", "--c13", "-6.25e-05",
+                        "--c33", "3", "--c44", "1", "--c66", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["elliptic"] is True
+
+
+@pytest.mark.parametrize("cmd,text,key", [
+    ("validate", "c11 = 3\nc13 = -6.25e-05\nc33 = 3\nc44 = 1\nc66 = 1\n",
+     "elliptic"),
+    ("region", "case = I\nnu-range = -0.4:0.45:5\n"
+     "delta-range = 0.5:3.5:5\nn-theta = 64\n", "cells"),
+], ids=["validate", "region"])
+def test_config_negative_values(tmp_path, capsys, cmd, text, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(text)
+    code, out, _ = run(["--config", str(cfg), cmd], capsys)
+    assert code == 0
+    assert key in json.loads(out)
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("case = II\nnu = 0.25\nk1 = 1\nk2 = 2\nbogus = 1\n")

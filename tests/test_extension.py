@@ -52,6 +52,39 @@ def test_propagator_decays():
     assert slope == pytest.approx(r_min, rel=1e-2)
 
 
+@pytest.mark.parametrize("orientation,ec,k1,k2", MATERIALS)
+def test_propagator_array_matches_stacked_scalar(orientation, ec, k1, k2):
+    sys = extension.build_halfspace(orientation, ec, k1, k2)
+    xs = np.array([0.0, 0.4, 1.7, 0.1, 5.0])
+    for prop, x in ((sys.bplus, xs), (sys.bminus, -xs)):
+        arr = prop(x)
+        stacked = np.stack([prop(float(v)) for v in x])
+        assert arr.shape == (x.size, 3, 3)
+        assert np.max(np.abs(arr - stacked)) <= 1e-14
+
+
+# delta = C66/C44 within ~3e-3 of 1 but not 1: r1 and r2 nearly coincide
+# without being merged into one cluster, and the rank test at each rate
+# misjudges the kernel dimension.  Fixing it needs a confluent mode basis.
+NEAR_DELTA_ONE = [
+    # delta - 1 = 5.4e-4: "alg 1, geo 2"
+    (ElasticConstants(2.049273081042775, -0.02701979487712576,
+                      2.049273081042775, 1.0381464379599503,
+                      1.0387052955728222), -4.0, 1.0),
+    # delta - 1 = 1e-6: "alg 3, geo 1"
+    (perp_to_constants(perp_from_parameters(1.0, 0.25, 1.0 + 1e-6)),
+     1.0, 1.0),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
+                   reason="no confluent mode basis for r1 close to r2")
+@pytest.mark.parametrize("ec,k1,k2", NEAR_DELTA_ONE)
+def test_build_halfspace_near_delta_one(ec, k1, k2):
+    sys = extension.build_halfspace("perp", ec, k1, k2)
+    assert np.max(np.abs(sys.bplus(0.0) - np.eye(3))) <= 1e-12
+
+
 def test_build_halfspace_validation():
     with pytest.raises(ValueError):
         extension.build_halfspace("perp", ISO, 0.0, 0.0)
@@ -202,3 +235,66 @@ def test_field3d_tofile_round_trip(tmp_path):
     assert header["component_order"] == ["u1", "u2", "u3"]
     raw = np.fromfile(pb, dtype="<f8").reshape(fld.u.shape)
     assert raw == pytest.approx(fld.u, abs=0.0)
+
+
+def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
+    """extend() with one scalar propagator call per frequency and sample."""
+    J = extension.JUMP_PERP if orientation == "perp" \
+        else extension.JUMP_PARALLEL
+    n1, n2 = boundary_a.shape
+    ka, kb = boundary_a.kgrid()
+    ua_hat = np.fft.fft2(boundary_a.values)
+    ub_hat = np.fft.fft2(boundary_b.values)
+    x_normal = np.sort(np.asarray(x_normal, dtype=float))
+    slip_idx = (0, 2) if orientation == "perp" else (0, 1)
+    normal_idx = 1 if orientation == "perp" else 2
+    out = np.zeros((3, len(x_normal), n1, n2), dtype=complex)
+    for i in range(n1):
+        for j in range(n2):
+            k1, k2 = float(ka[i, j]), float(kb[i, j])
+            up = np.zeros(3, dtype=complex)
+            up[slip_idx[0]] = ua_hat[i, j]
+            up[slip_idx[1]] = ub_hat[i, j]
+            if k1 == 0.0 and k2 == 0.0:
+                for n, xn in enumerate(x_normal):
+                    out[:, n, i, j] = up if xn >= 0.0 else J @ up
+                continue
+            sys = extension.build_halfspace(orientation, ec, k1, k2)
+            up[normal_idx] = extension.normal_closure(sys, ec, ua_hat[i, j],
+                                                      ub_hat[i, j])
+            for n, xn in enumerate(x_normal):
+                if xn >= 0.0:
+                    out[:, n, i, j] = sys.bplus(xn) @ up
+                else:
+                    out[:, n, i, j] = sys.bminus(xn) @ (J @ up)
+    return np.fft.ifft2(out, axes=(2, 3)).real
+
+
+def _smooth_field(rng, n, L):
+    """Real field with a few random modes, |m| <= 3 on an n x n grid."""
+    ms = rng.integers(-3, 4, size=(4, 2))
+    amp = rng.standard_normal(4)
+    phase = rng.uniform(0.0, 2 * np.pi, 4)
+
+    def f(x, y):
+        return sum(a * np.cos(2 * np.pi * (m1 * x + m2 * y) / L + p)
+                   for (m1, m2), a, p in zip(ms, amp, phase))
+
+    return GridField2D.from_function(L, L, n, n, f)
+
+
+@pytest.mark.parametrize("orientation,ec", [("perp", ISO), ("perp", PERP2),
+                                            ("parallel", ANISO)])
+@pytest.mark.parametrize("x_normal", [
+    [0.7, -1.5, 0.0, 2.2, -0.1, 0.3, -3.0],     # unsorted, both sides
+    [1.2, 0.0, 0.45, 3.0],                       # all >= 0
+    [-0.3, -2.5, -0.05],                         # all < 0
+])
+def test_extend_matches_per_sample_reference(orientation, ec, x_normal):
+    rng = np.random.default_rng(7)
+    L = 2 * np.pi
+    ua, ub = _smooth_field(rng, 8, L), _smooth_field(rng, 8, L)
+    fld = extension.extend(orientation, ec, ua, ub, x_normal)
+    ref = _extend_reference(orientation, ec, ua, ub, x_normal)
+    assert np.array_equal(fld.x_normal, np.sort(x_normal))
+    assert np.max(np.abs(fld.u - ref)) <= 1e-12 * np.max(np.abs(ref))
