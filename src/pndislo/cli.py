@@ -18,6 +18,8 @@ import sys
 
 import numpy as np
 
+from . import regions
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
@@ -116,16 +118,16 @@ def _cmd_validate(args):
 
 
 def _cmd_region(args):
-    from . import regions
-    if args.case in ("I", "II"):
-        a1 = _parse_range(args.nu_range)
-        a2 = _parse_range(args.delta_range)
-    elif args.case == "III":
-        a1 = _parse_range(args.mu_range or "0.5:2:20")
-        a2 = _parse_range(args.nu_range)
-    else:
-        raise _ArgumentError(f"unknown case {args.case!r}")
-    sc = regions.scan(args.case, a1, a2, n_theta=args.n_theta)
+    c = regions.case(args.case)
+    axes = []
+    for name in c.axis_names:
+        spec = getattr(args, f"{name}_range")
+        if spec is None:
+            raise _ArgumentError(f"case {c.name} scans "
+                                 f"{' x '.join(c.axis_names)}: "
+                                 f"--{name}-range is missing")
+        axes.append(_parse_range(spec))
+    sc = regions.scan(c.name, *axes, n_theta=args.n_theta)
     if args.out:
         sc.to_csv(args.out)
     _emit({"case": args.case,
@@ -137,38 +139,24 @@ def _cmd_region(args):
 
 
 def _cmd_symbol(args):
-    from .moduli import derive_parallel, derive_perp
-    from . import symbols
+    c = regions.case(args.case)
     ec = _material_constants(args)
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise _ArgumentError("k must be nonzero")
-    out = {"case": args.case, "k1": args.k1, "k2": args.k2}
-    if args.case in ("I", "II"):
-        dp = derive_perp(ec)
-        mat = symbols.dtn_perp(dp, args.k1, args.k2)
-        fn = symbols.symbol_case1 if args.case == "I" else symbols.symbol_case2
-        out["m"] = float(fn(dp, args.k1, args.k2))
-        out["dtn"] = {"a11": mat.a11, "a12": mat.a12,
-                      "a21": mat.a21, "a22": mat.a22, "det": mat.det}
-    else:
-        dpar = derive_parallel(ec)
-        mat = symbols.dtn_parallel(dpar, args.k1, args.k2)
-        out["m"] = float(symbols.symbol_case3(dpar, args.k1, args.k2))
-        out["dtn"] = {"a11": mat.a11, "a12": mat.a12,
-                      "a21": mat.a21, "a22": mat.a22, "det": mat.det}
-    _emit(out)
+    params = c.derive(ec)
+    mat = c.dtn(params, args.k1, args.k2)
+    _emit({"case": c.name, "k1": args.k1, "k2": args.k2,
+           "m": float(c.symbol(params, args.k1, args.k2)),
+           "dtn": {"a11": mat.a11, "a12": mat.a12,
+                   "a21": mat.a21, "a22": mat.a22, "det": mat.det}})
     return EXIT_OK
 
 
 def _cmd_kernel(args):
-    from .moduli import derive_parallel, derive_perp
     from . import kernels
-    ec = _material_constants(args)
-    if args.case in ("I", "II"):
-        params = derive_perp(ec)
-    else:
-        params = derive_parallel(ec)
-    kf = kernels.build_kernel(args.case, params)
+    c = regions.case(args.case)
+    params = c.derive(_material_constants(args))
+    kf = kernels.build_kernel(c.name, params)
     th, kv = kernels.circle_profile(kf, n_theta=args.n_theta)
     tmin, kmin = kernels.circle_min(kf, params)
     if args.out:
@@ -179,18 +167,16 @@ def _cmd_kernel(args):
 
 
 def _cmd_solve(args):
-    from .moduli import derive_parallel, derive_perp
     from . import solver
-    ec = _material_constants(args)
-    params = derive_perp(ec) if args.case in ("I", "II") \
-        else derive_parallel(ec)
+    c = regions.case(args.case)
+    params = c.derive(_material_constants(args))
     pot = None
     if args.potential == "quartic":
         pot = solver.Potential.quartic(args.scale)
     elif args.potential != "cosine":
         raise _ArgumentError(f"unknown potential {args.potential!r}")
     try:
-        sol = solver.solve_profile(args.case, params, potential=pot,
+        sol = solver.solve_profile(c.name, params, potential=pot,
                                    theta=args.theta, X=args.X, N=args.N,
                                    method=args.method)
     except solver.SolverError as e:
@@ -243,9 +229,8 @@ def _cmd_extend(args):
 
 
 def _cmd_verify(args):
-    from .moduli import derive_parallel, derive_perp, from_isotropic, \
-        perp_from_parameters
-    from . import kernels, regions, symbols
+    from .moduli import from_isotropic, perp_from_parameters
+    from . import kernels
     from .nonlocal_ops import GridField2D, apply_kernel_quadrature, \
         apply_multiplier
     from . import extension
@@ -253,8 +238,9 @@ def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     checks = {}
 
-    dp = derive_perp(from_isotropic(1.0, 0.25))
-    dpar = derive_parallel(from_isotropic(1.0, 0.25))
+    case1, case2 = regions.case("I"), regions.case("II")
+    dp = case1.derive(from_isotropic(1.0, 0.25))
+    dpar = regions.case("III").derive(from_isotropic(1.0, 0.25))
 
     # kernel PDE residuals on a few circle points
     th = np.linspace(0.05, np.pi / 2 - 0.05, 10)
@@ -273,9 +259,9 @@ def _cmd_verify(args):
     for k1, k2 in ks.T:
         if k1 == 0 and k2 == 0:
             continue
-        m = symbols.dtn_perp(dp, k1, k2)
-        m1 = symbols.symbol_case1(dp, k1, k2)
-        m2 = symbols.symbol_case2(dp, k1, k2)
+        m = case1.dtn(dp, k1, k2)
+        m1 = case1.symbol(dp, k1, k2)
+        m2 = case2.symbol(dp, k1, k2)
         mat_err = max(mat_err,
                       abs(m.det / m.a22 - m1) / abs(m1),
                       abs(m.det / m.a11 - m2) / abs(m2))
@@ -285,8 +271,8 @@ def _cmd_verify(args):
     # kernel-symbol duality at modest resolution
     f = GridField2D.from_function(30.0, 30.0, 128, 128,
                                   lambda x, y: np.exp(-(x * x + y * y) / 4))
-    q = apply_kernel_quadrature(kernels.kernel_case2(dp), f)
-    s = apply_multiplier(lambda a, b: symbols.symbol_case2(dp, a, b), f)
+    q = apply_kernel_quadrature(kernels.build_kernel("II", dp), f)
+    s = apply_multiplier(lambda a, b: case2.symbol(dp, a, b), f)
     dual = float(np.max(np.abs(q.values - s.values))
                  / np.max(np.abs(s.values)))
     checks["duality"] = dual
@@ -300,8 +286,8 @@ def _cmd_verify(args):
         if not regions.in_ellipticity_strip(nu, delta):
             continue
         dpx = perp_from_parameters(1.0, nu, delta)
-        _, kmin = kernels.circle_min(kernels.kernel_case1(dpx), dpx)
-        member = regions.in_region_case1(nu, delta)
+        _, kmin = kernels.circle_min(kernels.build_kernel("I", dpx), dpx)
+        member = case1.member(dpx)
         if abs(kmin) > 1e-6 * (1 + abs(kmin)) and member != (kmin > 0):
             bad += 1
     checks["region_mismatches"] = bad
@@ -342,30 +328,30 @@ def _build_parser():
     sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("region")
-    sp.add_argument("--case", required=True)
+    sp.add_argument("--case", required=True, choices=tuple(regions.CASES))
     sp.add_argument("--nu-range", dest="nu_range")
     sp.add_argument("--delta-range", dest="delta_range")
-    sp.add_argument("--mu-range", dest="mu_range")
+    sp.add_argument("--mu-range", dest="mu_range", default="0.5:2:20")
     sp.add_argument("--n-theta", dest="n_theta", type=int, default=512)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_region)
 
     sp = sub.add_parser("symbol")
-    sp.add_argument("--case", required=True)
+    sp.add_argument("--case", required=True, choices=tuple(regions.CASES))
     _add_material(sp)
     sp.add_argument("--k1", type=float, required=True)
     sp.add_argument("--k2", type=float, required=True)
     sp.set_defaults(fn=_cmd_symbol)
 
     sp = sub.add_parser("kernel")
-    sp.add_argument("--case", required=True)
+    sp.add_argument("--case", required=True, choices=tuple(regions.CASES))
     _add_material(sp)
     sp.add_argument("--n-theta", dest="n_theta", type=int, default=512)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_kernel)
 
     sp = sub.add_parser("solve")
-    sp.add_argument("--case", required=True)
+    sp.add_argument("--case", required=True, choices=tuple(regions.CASES))
     _add_material(sp)
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--X", type=float, default=200.0)

@@ -71,10 +71,6 @@ class KernelForm:
         return out
 
 
-def eval_kernel(kf: KernelForm, x1, x3):
-    return kf(x1, x3)
-
-
 # ---------------------------------------------------------------------------
 # coefficient tables
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ from scipy.special import sici
 #: so the value only needs to be small enough that the first shell is thin).
 EPS_FRACTION = 1e-6
 
-#: Quadrature tolerance relative to the field oscillation scale.
-TOL_QUAD = 1e-6
-
 
 def _is_pow2(n: int) -> bool:
     return n >= 8 and (n & (n - 1)) == 0
@@ -114,17 +111,14 @@ def apply_multiplier(symbol: Callable, field: GridField2D) -> GridField2D:
     `symbol(k1, k2)` must accept array arguments with k != 0; the zero mode is
     set to 0 (every symbol here vanishes at the origin by 1-homogeneity).
     """
-    k1, k2 = field.kgrid()
-    # patch the origin before calling: symbols are allowed to reject k = 0
-    k1[0, 0] = 1.0
-    m = np.asarray(symbol(k1, k2), dtype=float)
-    m[0, 0] = 0.0
+    m = _multiplier_grid(symbol, field)
     out = np.fft.ifft2(m * np.fft.fft2(field.values)).real
     return field.like(out)
 
 
 def _multiplier_grid(symbol: Callable, field: GridField2D) -> np.ndarray:
     k1, k2 = field.kgrid()
+    # patch the origin before calling: symbols are allowed to reject k = 0
     k1[0, 0] = 1.0
     m = np.asarray(symbol(k1, k2), dtype=float)
     m[0, 0] = 0.0

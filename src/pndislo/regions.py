@@ -1,4 +1,7 @@
-"""Kernel-positivity parameter regions and region scans.
+"""The case table, kernel-positivity parameter regions and region scans.
+
+`CASES` maps each of the three slip geometries to its derived-parameter
+set, symbol, Dirichlet-to-Neumann matrix, positivity predicate and scan axes.
 
 Case I and II live in the (nu, delta) plane inside the ellipticity strip
 0 < delta < 4, 1 - 2/delta < nu < 1/2; case III is a condition on the ratio
@@ -12,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import kernels
-from .moduli import (ElasticConstants, derive_parallel, perp_from_parameters,
+from . import kernels, symbols
+from .moduli import (DerivedParallel, ElasticConstants, derive_parallel,
+                     derive_perp, from_isotropic, perp_from_parameters,
                      validate)
 
 
@@ -111,15 +116,63 @@ def in_region_case2(nu: float, delta: float) -> bool:
     return e3 is None or e3 > 0.0
 
 
+def _member_case3(dpar: DerivedParallel) -> bool:
+    return dpar.eta2 > 0.0 and 2.0 / 3.0 < dpar.eta1 / dpar.eta2 < 1.5
+
+
 def in_region_case3(ec: ElasticConstants) -> bool:
     """eta2 > 0 and 2/3 < eta1/eta2 < 3/2, strict."""
-    if not validate(ec).valid:
-        return False
-    dpar = derive_parallel(ec)
-    if dpar.eta2 <= 0.0:
-        return False
-    ratio = dpar.eta1 / dpar.eta2
-    return 2.0 / 3.0 < ratio < 1.5
+    return validate(ec).valid and _member_case3(derive_parallel(ec))
+
+
+@dataclass(frozen=True)
+class Case:
+    """One slip geometry of the reduced equation: the one place a case is
+    defined.
+
+    `derive(ec)` gives the case's parameter set; `symbol` and `dtn` take
+    (params, k1, k2); `member(params)` is the strict kernel-positivity
+    predicate; `scan_params(a, b, mu)` maps a scan cell on the axes
+    `axis_names` to parameters and raises ValueError outside the admissible
+    set.  The kernel is `kernels.build_kernel(name, params)`.
+    """
+
+    name: str
+    derive: Callable
+    symbol: Callable
+    dtn: Callable
+    member: Callable
+    scan_params: Callable
+    axis_names: tuple
+
+
+def _perp_cell(nu, delta, mu):
+    return perp_from_parameters(mu, nu, delta)
+
+
+def _isotropic_parallel_cell(mu_iso, nu_iso, mu):
+    # case III scans the isotropic embedding; the scan's mu is not used
+    return derive_parallel(from_isotropic(mu_iso, nu_iso))
+
+
+CASES = {c.name: c for c in (
+    Case("I", derive_perp, symbols.symbol_case1, symbols.dtn_perp,
+         lambda dp: in_region_case1(dp.nu, dp.delta), _perp_cell,
+         ("nu", "delta")),
+    Case("II", derive_perp, symbols.symbol_case2, symbols.dtn_perp,
+         lambda dp: in_region_case2(dp.nu, dp.delta), _perp_cell,
+         ("nu", "delta")),
+    Case("III", derive_parallel, symbols.symbol_case3, symbols.dtn_parallel,
+         _member_case3, _isotropic_parallel_cell, ("mu", "nu")),
+)}
+
+
+def case(name: str) -> Case:
+    """The CASES entry for "I", "II" or "III"; ValueError otherwise."""
+    try:
+        return CASES[name]
+    except KeyError:
+        raise ValueError(f"unknown case {name!r}") from None
 
 
 @dataclass
@@ -152,13 +205,16 @@ def _grid_kernel_min(kf, n_theta: int = 512) -> float:
 
 def scan(region: str, axis1, axis2, mu: float = 1.0,
          n_theta: int = 512) -> RegionScan:
-    """Scan a parameter grid; axes are (nu, delta) for cases I/II and
-    (c11-like slice parameters) are not supported here beyond the ratio test
-    for case III, which scans (mu_iso, nu_iso) of the isotropic embedding.
+    """Scan a parameter grid on the case's axes: (nu, delta) at shear modulus
+    mu for cases I/II, (mu, nu) of the isotropic embedding for case III.
 
+    Cells outside the admissible set are non-members with kmin = nan.
     Boundary cells are those whose closed-form membership differs from any
     of their 8 neighbors (one-cell ambiguous band).
     """
+    c = case(region)
+    if not mu > 0.0:
+        raise ValueError(f"mu = {mu} must be positive")
     axis1 = np.asarray(axis1, dtype=float)
     axis2 = np.asarray(axis2, dtype=float)
     if axis1.size < 2 or axis2.size < 2:
@@ -169,29 +225,13 @@ def scan(region: str, axis1, axis2, mu: float = 1.0,
 
     for i, a in enumerate(axis1):
         for j, b in enumerate(axis2):
-            if region in ("I", "II"):
-                nu, delta = a, b
-                if not in_ellipticity_strip(nu, delta):
-                    continue
-                member[i, j] = (in_region_case1(nu, delta) if region == "I"
-                                else in_region_case2(nu, delta))
-                dp = perp_from_parameters(mu, nu, delta)
-                kf = (kernels.kernel_case1(dp) if region == "I"
-                      else kernels.kernel_case2(dp))
-                kmin[i, j] = _grid_kernel_min(kf, n_theta)
-            elif region == "III":
-                from .moduli import from_isotropic
-                try:
-                    ec = from_isotropic(a, b)
-                except ValueError:
-                    continue
-                if not validate(ec).valid:
-                    continue
-                member[i, j] = in_region_case3(ec)
-                kf = kernels.kernel_case3(derive_parallel(ec))
-                kmin[i, j] = _grid_kernel_min(kf, n_theta)
-            else:
-                raise ValueError(f"unknown region {region!r}")
+            try:
+                params = c.scan_params(a, b, mu)
+            except ValueError:
+                continue
+            member[i, j] = c.member(params)
+            kmin[i, j] = _grid_kernel_min(
+                kernels.build_kernel(c.name, params), n_theta)
 
     admissible = np.isfinite(kmin)
     boundary = np.zeros_like(member)
@@ -212,6 +252,5 @@ def scan(region: str, axis1, axis2, mu: float = 1.0,
             if dj == -1:
                 diff[:, -1] = False
             boundary |= diff
-    axis_names = ("nu", "delta") if region in ("I", "II") else ("mu", "nu")
-    return RegionScan(region=region, axis_names=axis_names, axis1=axis1,
+    return RegionScan(region=region, axis_names=c.axis_names, axis1=axis1,
                       axis2=axis2, member=member, boundary=boundary, kmin=kmin)

@@ -26,12 +26,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres, lobpcg
 
-from . import regions, symbols
-from .moduli import DerivedParallel, DerivedPerp
+from . import regions
 from .nonlocal_ops import GridField2D, apply_multiplier
 
 TOL_SOLVE = 1e-10
-TOL_EIG = 1e-4
 #: gradient flow hands over to Newton below this residual
 NEWTON_SWITCH = 1e-4
 
@@ -117,7 +115,7 @@ class ProfileSolution:
     m_e: float
     case: str
     residual: float
-    in_region: Optional[bool]
+    in_region: bool
     potential: Potential
     lambda_min: Optional[float] = None
     eigenvalues: Optional[np.ndarray] = dfield(default=None, repr=False)
@@ -138,27 +136,6 @@ def _background(x):
     phi = (2.0 / np.pi) * np.arctan(x)
     half_lap_phi = (2.0 / np.pi) * x / (1.0 + x * x)
     return phi, half_lap_phi
-
-
-def symbol_at_direction(case: str, params, theta: float) -> float:
-    e1, e2 = math.cos(theta), math.sin(theta)
-    if case == "I":
-        return float(symbols.symbol_case1(params, e1, e2))
-    if case == "II":
-        return float(symbols.symbol_case2(params, e1, e2))
-    if case == "III":
-        return float(symbols.symbol_case3(params, e1, e2))
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _region_membership(case: str, params) -> Optional[bool]:
-    if case == "I" and isinstance(params, DerivedPerp):
-        return regions.in_region_case1(params.nu, params.delta)
-    if case == "II" and isinstance(params, DerivedPerp):
-        return regions.in_region_case2(params.nu, params.delta)
-    if case == "III" and isinstance(params, DerivedParallel):
-        return params.eta2 > 0.0 and 2.0 / 3.0 < params.eta1 / params.eta2 < 1.5
-    return None
 
 
 def _residual(v, absk, half_lap_phi, phi, pot, m_e):
@@ -185,7 +162,8 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
     if method not in ("gradient-flow", "newton"):
         raise ValueError(f"unknown method {method!r}")
-    m_e = symbol_at_direction(case, params, theta)
+    c = regions.case(case)
+    m_e = float(c.symbol(params, math.cos(theta), math.sin(theta)))
     if not m_e > 0.0:
         raise ValueError(f"m(e) = {m_e} is not positive; parameters outside "
                          "the admissible region")
@@ -291,7 +269,7 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
     return ProfileSolution(X=X, N=N, x=x, psi=psi, v=v, theta=theta,
                            m_e=m_e, case=case, residual=res,
-                           in_region=_region_membership(case, params),
+                           in_region=c.member(params),
                            potential=pot, params=params)
 
 
@@ -308,7 +286,7 @@ def _zero_crossing(x, psi):
 
 
 def check_stability(sol: ProfileSolution, n_eig: int = 6,
-                    tol_eig: float = TOL_EIG, seed: int = 0) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray:
     """Smallest eigenvalues of the linearized operator at the profile.
 
     The quadratic form is v -> <(-Delta)^(1/2) v + (W''(psi)/m) v, v> on the
@@ -386,13 +364,8 @@ def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256,
     u = phi + v2d
     fld = GridField2D(L1, L2, u)
 
-    def sym(k1, k2):
-        if sol.case == "I":
-            return symbols.symbol_case1(sol.params, k1, k2)
-        if sol.case == "II":
-            return symbols.symbol_case2(sol.params, k1, k2)
-        return symbols.symbol_case3(sol.params, k1, k2)
-
-    Lv = apply_multiplier(sym, GridField2D(L1, L2, v2d)).values
+    symbol = regions.case(sol.case).symbol
+    Lv = apply_multiplier(lambda k1, k2: symbol(sol.params, k1, k2),
+                          GridField2D(L1, L2, v2d)).values
     resid = (Lv + sol.m_e * hphi + sol.potential.dw(u)) / sol.m_e
     return fld, float(np.linalg.norm(resid) / math.sqrt(resid.size))

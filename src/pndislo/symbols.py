@@ -129,7 +129,11 @@ def symbol_lower_constant(dp: DerivedPerp) -> float:
 def symbol_upper_constant(dp: DerivedPerp, case: int = 1,
                           n_theta: int = 4096) -> float:
     """sup over the unit circle of m(k)/(mu r2): the constant in the upper
-    symbol bound (not given in closed form; computed numerically)."""
+    symbol bound (not given in closed form; computed numerically).  `case`
+    is 1 or 2; ValueError otherwise."""
+    if case not in (1, 2):
+        raise ValueError(f"upper constant is defined for case 1 or 2, "
+                         f"got {case!r}")
     th = np.linspace(0.0, np.pi, n_theta, endpoint=False) + 1e-9
     k1, k3 = np.cos(th), np.sin(th)
     m = symbol_case1(dp, k1, k3) if case == 1 else symbol_case2(dp, k1, k3)

@@ -1,11 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pndislo import cli, symbols
 from pndislo.moduli import from_isotropic, derive_perp
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 ISO5 = ["--c11", "3", "--c13", "1", "--c33", "3", "--c44", "1",
         "--c66", "1"]
 
@@ -183,3 +185,44 @@ def test_missing_material_rejected(capsys):
 def test_partial_constants_rejected(capsys):
     code, _, _ = run(["validate", "--c11", "3"], capsys)
     assert code == 3
+
+
+def test_symbol_unknown_case_rejected(capsys):
+    code, _, err = run(["symbol", "--case", "IV", "--nu", "0.25",
+                        "--k1", "1", "--k2", "0.5"], capsys)
+    assert code == 3
+    assert "error" in json.loads(err)
+
+
+def test_kernel_unknown_case_rejected(capsys):
+    code, _, err = run(["kernel", "--case", "iso", "--nu", "0.25"], capsys)
+    assert code == 3
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--case", "I", "--nu-range", "0:0.4:3"],
+    ["region", "--case", "III"],
+], ids=["I-no-delta-range", "III-no-nu-range"])
+def test_region_missing_range_rejected(capsys, argv):
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert "range" in json.loads(err)["error"]
+
+
+def _readme_cli_commands():
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("pndislo ")]
+
+
+def test_readme_cli_commands_run(tmp_path, capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, out, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+        json.loads(out)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pndislo import solver, symbols
+from pndislo import regions, solver, symbols
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
-                            perp_from_parameters)
+                            perp_from_parameters, perp_to_constants)
 
 ISO = from_isotropic(1.0, 0.25)
 DP = derive_perp(ISO)
@@ -42,14 +42,41 @@ def test_custom_potential_from_table():
     assert pot(0.3) == pytest.approx(0.25 * (1 - 0.09) ** 2, abs=1e-6)
 
 
-def test_symbol_at_direction_matches_symbols():
-    assert solver.symbol_at_direction("I", DP2, 0.0) == pytest.approx(
-        float(symbols.symbol_case1(DP2, 1.0, 0.0)), rel=1e-15)
+def test_case_table_matches_per_case_functions():
+    per_case = {
+        "I": (derive_perp, symbols.symbol_case1, symbols.dtn_perp,
+              lambda ec, dp: regions.in_region_case1(dp.nu, dp.delta)),
+        "II": (derive_perp, symbols.symbol_case2, symbols.dtn_perp,
+               lambda ec, dp: regions.in_region_case2(dp.nu, dp.delta)),
+        "III": (derive_parallel, symbols.symbol_case3, symbols.dtn_parallel,
+                lambda ec, dpar: regions.in_region_case3(ec)),
+    }
+    # (inside, outside) the positivity region of each case
+    perp = tuple(perp_to_constants(perp_from_parameters(1.0, nu, delta))
+                 for nu, delta in ((0.25, 1.0), (0.45, 0.7)))
+    materials = {"I": perp, "II": perp,
+                 "III": (from_isotropic(1.0, 0.25), from_isotropic(1.0, 0.4))}
+    assert tuple(regions.CASES) == ("I", "II", "III")
     th = np.pi / 4
-    assert solver.symbol_at_direction("II", DP2, th) == pytest.approx(
-        float(symbols.symbol_case2(DP2, np.cos(th), np.sin(th))), rel=1e-15)
+    for name, c in regions.CASES.items():
+        derive, symbol, dtn, member = per_case[name]
+        assert c.name == name and regions.case(name) is c
+        for ec, inside in zip(materials[name], (True, False)):
+            params = c.derive(ec)
+            assert params == derive(ec)
+            for k1, k2 in ((1.0, 0.0), (np.cos(th), np.sin(th)), (-2.0, 0.5)):
+                assert c.symbol(params, k1, k2) == symbol(params, k1, k2)
+                assert c.dtn(params, k1, k2) == dtn(params, k1, k2)
+            assert c.member(params) is member(ec, params) is inside
+        # the solver evaluates the table's symbol in direction theta
+        params = c.derive(materials[name][0])
+        sol = solver.solve_profile(name, params, theta=th, X=20.0, N=256)
+        assert sol.m_e == float(symbol(params, np.cos(th), np.sin(th)))
+        assert sol.in_region is True
     with pytest.raises(ValueError):
-        solver.symbol_at_direction("X", DP2, 0.0)
+        regions.case("X")
+    with pytest.raises(ValueError):
+        solver.solve_profile("X", DP2)
 
 
 def test_arctan_oracle_is_exact_fixed_point():

@@ -141,3 +141,14 @@ def test_upper_constant_dominates_circle():
         fn = symbols.symbol_case1 if case == 1 else symbols.symbol_case2
         m = fn(DP_ANISO, np.cos(th), np.sin(th))
         assert np.all(m <= C * DP_ANISO.mu * (1 + 1e-9))
+
+
+def test_upper_constant_rejects_other_cases():
+    dp = perp_from_parameters(1.0, 0.2, 1.5)
+    assert symbols.symbol_upper_constant(dp, case=1) == pytest.approx(
+        2.625, rel=1e-12)
+    assert symbols.symbol_upper_constant(dp, case=2) == pytest.approx(
+        2.5, rel=1e-12)
+    for case in (3, 0, "I", "II"):
+        with pytest.raises(ValueError):
+            symbols.symbol_upper_constant(dp, case=case)
