@@ -25,6 +25,10 @@ EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_INPUT = 3
 
+#: `region`'s range flags and their defaults; each case takes only its own
+#: `axis_names`
+_RANGE_DEFAULTS = {"nu": None, "delta": None, "mu": "0.5:2:20"}
+
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -119,13 +123,17 @@ def _cmd_validate(args):
 
 def _cmd_region(args):
     c = regions.case(args.case)
+    scans = f"case {c.name} scans {' x '.join(c.axis_names)}"
+    for name in _RANGE_DEFAULTS:
+        if (name not in c.axis_names
+                and getattr(args, f"{name}_range") is not None):
+            raise _ArgumentError(f"{scans}: --{name}-range does not apply")
     axes = []
     for name in c.axis_names:
         spec = getattr(args, f"{name}_range")
+        spec = _RANGE_DEFAULTS[name] if spec is None else spec
         if spec is None:
-            raise _ArgumentError(f"case {c.name} scans "
-                                 f"{' x '.join(c.axis_names)}: "
-                                 f"--{name}-range is missing")
+            raise _ArgumentError(f"{scans}: --{name}-range is missing")
         axes.append(_parse_range(spec))
     sc = regions.scan(c.name, *axes, n_theta=args.n_theta)
     if args.out:
@@ -329,9 +337,8 @@ def _build_parser():
 
     sp = sub.add_parser("region")
     sp.add_argument("--case", required=True, choices=tuple(regions.CASES))
-    sp.add_argument("--nu-range", dest="nu_range")
-    sp.add_argument("--delta-range", dest="delta_range")
-    sp.add_argument("--mu-range", dest="mu_range", default="0.5:2:20")
+    for name in _RANGE_DEFAULTS:
+        sp.add_argument(f"--{name}-range", dest=f"{name}_range")
     sp.add_argument("--n-theta", dest="n_theta", type=int, default=512)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_region)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -9,15 +9,13 @@ Three ways of applying the slip-plane operator L:
 
       L w(x) = -(1/4 pi) int (w(x-y) + w(x+y) - 2 w(x)) K(y) dy
 
-  on a polar grid of log-spaced radial shells and equispaced angles.  Because
-  the field is a band-limited periodic function, the quadrature sum acts on
-  each Fourier mode as the multiplier (1/2 pi) sum_q w_q (1 - cos k.y_q) K(y_q),
-  so the operator is assembled once as that node-set multiplier and applied
-  spectrally; this is algebraically identical to evaluating the real-space sum
-  with trigonometric interpolation of the field.  The inner disc (0, eps) and
-  the tail (R_cut, inf) are added in closed form via the sine integral, so the
-  only quadrature error is the radial midpoint error inside the shells and the
-  angular discretization.
+  in polar coordinates y = r e.  On a Fourier mode the integral is the
+  multiplier (1/2 pi) int_e K(e) int_0^inf (1 - cos(r k.e)) r^-2 dr de, since
+  K is (-3)-homogeneous, and the radial integral is exactly (pi/2) |k.e|.
+  Only the angular integral is discretized: the midpoint rule over N_THETA
+  directions on [0, pi), doubled by evenness.  The operator is assembled once
+  as that multiplier and applied spectrally, which is the real-space integral
+  of the trigonometric interpolant of the band-limited periodic field.
 
 `energy` computes the whole-cell energy by Plancherel and the localized energy
 E(u; B_R) (double integral excluding B_R^c x B_R^c) by FFT convolutions.
@@ -29,11 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import sici
 
-#: Default inner-cutoff fraction of R_cut (inner mass is restored analytically,
-#: so the value only needs to be small enough that the first shell is thin).
-EPS_FRACTION = 1e-6
+#: Midpoint directions on [0, pi) in the kernel quadrature.
+N_THETA = 128
 
 
 def _is_pow2(n: int) -> bool:
@@ -125,94 +121,48 @@ def _multiplier_grid(symbol: Callable, field: GridField2D) -> np.ndarray:
     return m
 
 
-def _radial_profile(eps: float, r_cut: float, n_shell: int,
-                    gmax: float, n_g: int = 1 << 16):
-    """Table of phi(g) = int_0^inf (1 - cos(r g)) r^-2 dr, quadrature form.
+def quadrature_multiplier(kernel: Callable, field: GridField2D) -> np.ndarray:
+    """Multiplier m(k) = (pi/2)(1/N_THETA) sum_j K(e_j) |k.e_j| on the grid.
 
-    The band [eps, r_cut] uses the midpoint rule over log-spaced shells with
-    the exact shell weights w_i = 1/r_i - 1/r_{i+1} of the r^-2 density and
-    nodes at the harmonic shell midpoints (the w-weighted mean radius).  The
-    inner disc and the tail are exact:
-
-        int_0^eps   = g Si(eps g) - (1 - cos(eps g))/eps,
-        int_R^inf   = (1 - cos(R g))/R + g (pi/2 - Si(R g)).
+    `kernel(z1, z2)` is any even, (-3)-homogeneous kernel; it is evaluated at
+    the N_THETA midpoint directions e_j on [0, pi) only, and the radial
+    integral int_0^inf (1 - cos(r g)) r^-2 dr = pi |g| / 2 is exact.
     """
-    edges = np.geomspace(eps, r_cut, n_shell + 1)
-    w = 1.0 / edges[:-1] - 1.0 / edges[1:]
-    nodes = 2.0 / (1.0 / edges[:-1] + 1.0 / edges[1:])
-    g = np.linspace(0.0, gmax, n_g)
-    phi = np.zeros_like(g)
-    for wi, ri in zip(w, nodes):
-        phi += wi * (1.0 - np.cos(ri * g))
-    si_e, _ = sici(eps * g)
-    si_r, _ = sici(r_cut * g)
-    phi += g * si_e - (1.0 - np.cos(eps * g)) / eps
-    phi += (1.0 - np.cos(r_cut * g)) / r_cut + g * (0.5 * np.pi - si_r)
-    return g, phi
-
-
-def quadrature_multiplier(kernel: Callable, field: GridField2D,
-                          eps: Optional[float] = None,
-                          r_cut: Optional[float] = None,
-                          n_shell: int = 512, n_theta: int = 128) -> np.ndarray:
-    """Node-set multiplier m(k) = (1/2 pi) sum_q w_q (1 - cos k.y_q) K(y_q).
-
-    `kernel(z1, z2)` is any even, (-3)-homogeneous kernel; by homogeneity it
-    is evaluated on the unit circle only and the radial factor is carried by
-    the shell weights.  Angles are midpoints on [0, pi) (doubled by evenness).
-    """
-    if r_cut is None:
-        r_cut = 0.5 * min(field.L1, field.L2)
-    if eps is None:
-        eps = EPS_FRACTION * r_cut
-    if not (0.0 < eps < r_cut):
-        raise ValueError(f"cutoffs must satisfy 0 < eps < R_cut, got "
-                         f"({eps}, {r_cut})")
-    th = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    th = (np.arange(N_THETA) + 0.5) * np.pi / N_THETA
     c, s = np.cos(th), np.sin(th)
     kv = np.asarray(kernel(c, s), dtype=float)
 
     k1, k2 = field.kgrid()
-    gmax = float(np.hypot(k1, k2).max()) * (1.0 + 1e-12) + 1e-300
-    g_tab, phi_tab = _radial_profile(eps, r_cut, n_shell, gmax)
+    k1, k2 = k1[:, 0], k2[0]
     m = np.zeros(field.shape)
-    for j in range(n_theta):
-        g = np.abs(k1 * c[j] + k2 * s[j])
-        m += kv[j] * np.interp(g, g_tab, phi_tab)
-    m *= 1.0 / n_theta  # (1/2pi) * 2 * (pi/n_theta)
-    m[0, 0] = 0.0
+    kdote = np.empty(field.shape)
+    for kj, e1, e2 in zip(kv, c, s):
+        np.add.outer(e1 * k1, e2 * k2, out=kdote)
+        m += kj * np.abs(kdote, out=kdote)
+    m *= 0.5 * np.pi / N_THETA  # (1/2pi) * 2 * (pi/N_THETA) * (pi/2)
     return m
 
 
-def apply_kernel_quadrature(kf: Callable, field: GridField2D,
-                            eps: Optional[float] = None,
-                            r_cut: Optional[float] = None,
-                            n_shell: int = 512,
-                            n_theta: int = 128) -> GridField2D:
+def apply_kernel_quadrature(kf: Callable, field: GridField2D) -> GridField2D:
     """Apply L w = -(1/4 pi) int (w(x-y)+w(x+y)-2w(x)) K(y) dy by quadrature.
 
     The symmetric second difference cancels the |y|^-3 singularity to an
-    integrable O(|y|^-1) density; the quadrature is the polar node set of
-    `quadrature_multiplier`, acting spectrally on the band-limited field.
+    integrable O(|y|^-1) density; the quadrature is the angular midpoint rule
+    of `quadrature_multiplier`, acting spectrally on the band-limited field.
     """
-    m = quadrature_multiplier(kf, field, eps=eps, r_cut=r_cut,
-                              n_shell=n_shell, n_theta=n_theta)
+    m = quadrature_multiplier(kf, field)
     out = np.fft.ifft2(m * np.fft.fft2(field.values)).real
     return field.like(out)
 
 
 def aniso_half_laplacian(rho: float, field: GridField2D,
-                         mode: str = "symbol",
-                         r_cut: Optional[float] = None,
-                         n_shell: int = 512,
-                         n_theta: int = 128) -> GridField2D:
+                         mode: str = "symbol") -> GridField2D:
     """(-Delta_rho)^(1/2) with symbol sqrt(k1^2 + rho k2^2).
 
     mode "symbol": exact spectral application (zero mode -> 0).
     mode "integral": second-difference quadrature of the kernel
-    rho^(-1/2) (y1^2 + y2^2/rho)^(-3/2) with the -(1/4 pi) prefactor,
-    truncated at R_cut with the analytic tail restored (the tail is
-    O(R_cut^-1) in magnitude, consistent with far-field constancy).
+    rho^(-1/2) (y1^2 + y2^2/rho)^(-3/2) with the -(1/4 pi) prefactor, over
+    the whole plane: exact in r, midpoint rule in the direction.
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -222,8 +172,7 @@ def aniso_half_laplacian(rho: float, field: GridField2D,
     if mode == "integral":
         def kernel(z1, z2):
             return (z1 ** 2 + z2 ** 2 / rho) ** -1.5 / np.sqrt(rho)
-        return apply_kernel_quadrature(kernel, field, r_cut=r_cut,
-                                       n_shell=n_shell, n_theta=n_theta)
+        return apply_kernel_quadrature(kernel, field)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -277,23 +226,23 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
         raise ValueError("localized energy needs a kernel")
 
     K = _sampled_kernel(kf, field, 0.5 * min(field.L1, field.L2))
-    Kh = np.fft.fft2(K)
+    Kh = np.fft.rfft2(K)
     dA = h1 * h2
 
     def conv(f):
-        return np.fft.ifft2(Kh * np.fft.fft2(f)).real * dA
+        return np.fft.irfft2(Kh * np.fft.rfft2(f), s=field.shape) * dA
 
     x1, x2 = field.axes()
     inside = (x1[:, None] ** 2 + x2[None, :] ** 2) <= R * R
+    chi = inside.astype(float)
     kappa0 = float(np.sum(K)) * dA
 
-    # S(x) = int (u(x)-u(y))^2 K(x-y) dy; once unrestricted, once y in B_R
-    S_all = u * u * kappa0 - 2.0 * u * conv(u) + conv(u * u)
-    chi = inside.astype(float)
-    S_ball = (u * u * conv(chi) - 2.0 * u * conv(u * chi)
-              + conv(u * u * chi))
-    raw = 2.0 * float(np.sum(S_all[inside])) * dA \
-        - float(np.sum(S_ball[inside])) * dA
-    nl = raw / (8.0 * np.pi)
+    # Pairs with x in B_R: y in B_R counts once, y outside twice (the pair
+    # also enters as (y, x)), so the double integral is the sum over x in B_R
+    # of int w(y) (u(x)-u(y))^2 K(x-y) dy with w = 2 - chi.  Expanding the
+    # square, its u(x)^2 (K*w)(x) term holds sum chi u^2 (K*chi), which is
+    # sum chi K*(chi u^2) by K(-y) = K(y); what is left is 2 S(x) below.
+    S = kappa0 * u * u - u * conv((2.0 - chi) * u) + conv((1.0 - chi) * u * u)
+    nl = 2.0 * float(np.sum(S[inside])) * dA / (8.0 * np.pi)
     pot = float(np.sum(potential(u)[inside])) * dA if potential else 0.0
     return EnergyReport(nl, pot, nl + pot, R)

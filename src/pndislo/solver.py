@@ -46,7 +46,8 @@ class Potential:
     """Misfit potential W with wells at +-1.
 
     Evaluators w, dw, d2w are plain callables; construction checks the well
-    conditions numerically: W(+-1) = 0, W > 0 on (-1, 1), W''(+-1) > 0.
+    conditions numerically: W(+-1) = 0, W'(+-1) = 0, W > 0 on (-1, 1),
+    W''(+-1) > 0.
     """
 
     def __init__(self, kind: str, scale: float, w: Callable, dw: Callable,
@@ -61,6 +62,8 @@ class Potential:
         for s in (-1.0, 1.0):
             if abs(self.w(s)) > 1e-9 * ref:
                 raise ValueError(f"W({s:+g}) = {self.w(s)!r} is not 0")
+            if abs(self.dw(s)) > 1e-6 * ref:
+                raise ValueError(f"W'({s:+g}) = {self.dw(s)!r} is not 0")
             if self.d2w(s) <= 0.0:
                 raise ValueError(f"W''({s:+g}) = {self.d2w(s)!r} must be > 0")
         u = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 401)
@@ -94,7 +97,8 @@ class Potential:
     @classmethod
     def custom(cls, u_nodes, w_values) -> "Potential":
         """Tabulated potential, cubic-spline interpolated (nodes must span
-        [-1, 1]; the well conditions are checked on the spline)."""
+        [-1, 1]; the well conditions, W'(+-1) = 0 included, are checked on
+        the spline)."""
         from scipy.interpolate import CubicSpline
         u_nodes = np.asarray(u_nodes, dtype=float)
         spl = CubicSpline(u_nodes, np.asarray(w_values, dtype=float))

@@ -210,6 +210,21 @@ def test_region_missing_range_rejected(capsys, argv):
     assert "range" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "--case", "I", "--nu-range", "0:0.4:3", "--delta-range",
+     "0.5:1.5:3", "--mu-range", "5:6:3"],
+    ["region", "--case", "II", "--nu-range", "0:0.4:3", "--delta-range",
+     "0.5:1.5:3", "--mu-range", "5:6:3"],
+    ["region", "--case", "III", "--nu-range", "0:0.4:3", "--delta-range",
+     "0.5:1.5:3"],
+], ids=["I-mu-range", "II-mu-range", "III-delta-range"])
+def test_region_foreign_range_rejected(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "does not apply" in json.loads(err)["error"]
+
+
 def _readme_cli_commands():
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]
     lines = block.replace("\\\n", " ").splitlines()

@@ -70,7 +70,8 @@ def test_quadrature_matches_symbol(case, par, kf_builder, sym):
     s = apply_multiplier(lambda a, b: sym(par, a, b), f)
     err = np.max(np.abs(q.values - s.values)) / np.max(np.abs(s.values))
     assert err <= 1e-3
-    assert err <= 1e-4    # 512 shells: observed ~5e-5
+    assert err <= 1e-4
+    assert err <= 3e-5    # exact radial factor: observed ~1.3e-5
 
 
 def test_quadrature_multiplier_is_linear_and_symmetric():
@@ -141,6 +142,41 @@ def test_localized_energy_monotone_in_radius():
                    kf=kf, R=R).total for R in (3.0, 6.0, 12.0)]
     assert vals[0] < vals[1] < vals[2]
     assert all(v > 0.0 for v in vals)
+
+
+def _localized_energy_reference(field, kf, R):
+    """(1/8 pi) sum of (u(x)-u(y))^2 K(x-y) dA^2 over every grid pair not
+    both outside B_R: min-image offsets y, origin excluded, and |y| within
+    the half-cell disc of the sampled kernel."""
+    n1, n2 = field.shape
+    h1, h2 = field.L1 / n1, field.L2 / n2
+    x1, x2 = field.axes()
+    inside = ((x1[:, None] ** 2 + x2[None, :] ** 2) <= R * R).ravel()
+    i1, i2 = (a.ravel() for a in np.meshgrid(np.arange(n1), np.arange(n2),
+                                             indexing="ij"))
+    d1 = (i1[:, None] - i1[None, :] + n1 // 2) % n1 - n1 // 2
+    d2 = (i2[:, None] - i2[None, :] + n2 // 2) % n2 - n2 // 2
+    y1, y2 = d1 * h1, d2 * h2
+    r = np.hypot(y1, y2)
+    pair = ((r > 0.0) & (r <= 0.5 * min(field.L1, field.L2))
+            & (inside[:, None] | inside[None, :]))
+    u = field.values.ravel()
+    du2 = (u[:, None] - u[None, :]) ** 2
+    total = float(np.sum(du2[pair] * kf(y1[pair], y2[pair])))
+    return total * (h1 * h2) ** 2 / (8.0 * np.pi)
+
+
+@pytest.mark.parametrize("kf", [kernels.kernel_isotropic(1.0, 0.75),
+                                kernels.kernel_case2(DP)],
+                         ids=["isotropic", "case2"])
+@pytest.mark.parametrize("R", [5.0, 12.0])
+def test_localized_energy_matches_pair_sum(kf, R):
+    rng = np.random.default_rng(11)
+    f = GridField2D(30.0, 24.0, rng.standard_normal((16, 16)))
+    rep = energy(f, kf=kf, R=R)
+    assert rep.nonlocal_part == pytest.approx(
+        _localized_energy_reference(f, kf, R), rel=1e-12)
+    assert rep.potential_part == 0.0 and rep.radius == R
 
 
 def test_localized_energy_validation():

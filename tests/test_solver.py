@@ -28,6 +28,18 @@ def test_potential_well_conditions_enforced():
                          + 24 * u * u * (1 - u * u))
 
 
+def test_potential_well_slope_enforced():
+    # a not-a-knot spline through 9 quartic nodes has W'(+-1) = -+0.017
+    u = np.linspace(-1.0, 1.0, 9)
+    with pytest.raises(ValueError, match="W'"):
+        solver.Potential.custom(u, 0.25 * (1 - u * u) ** 2)
+    # W = (1 - u^2)(1/2 + (1 - u^2)/4): zero, positive inside and convex at
+    # the wells, but W'(+-1) = -+1
+    u = np.linspace(-1.2, 1.2, 121)
+    with pytest.raises(ValueError, match="W'"):
+        solver.Potential.custom(u, (1 - u * u) * (0.5 + 0.25 * (1 - u * u)))
+
+
 def test_cosine_potential_shape():
     pot = solver.Potential.cosine(2.0)
     assert pot(0.0) == pytest.approx(4.0 / np.pi ** 2, rel=1e-14)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pndislo import symbols
-from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
-                            from_isotropic, perp_from_parameters)
+from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
+                            perp_from_parameters)
 
 ISO = from_isotropic(1.0, 0.25)
 DP_ISO = derive_perp(ISO)
