@@ -9,15 +9,19 @@ written in transformed variables that make all three blocks real:
 (u1, i u2, u3) for the slip plane perpendicular to the isotropy plane
 (normal x2), and (u1, u2, i u3) for the parallel orientation (normal x3).
 The 6x6 companion matrix has eigenvalues in +- pairs: {+-r1, +-r2, +-r2}
-(perpendicular, r2 double) and +-theta_i |k| (parallel, possibly a complex
-conjugate pair).  Decaying solutions for the upper half-space are built from
-explicit eigenvector / Jordan-chain modes, giving the propagator
+(perpendicular, r2 double, r1 = r2 at delta = 1) and +-theta_i |k|
+(parallel, possibly a complex conjugate pair).  The decaying solutions for
+the upper half-space span the invariant subspace of the three eigenvalues
+with negative real part; an ordered real Schur form gives an orthonormal
+basis of it whatever the Jordan structure, and from that the real 3x3
+generator D of the decaying solutions, w' = D w.  The propagator
 
     u_hat(k, xn) = Bplus(k, xn) u_hat_plus(k),     Bplus(k, 0) = I,
 
-and Bminus for the lower half-space from the growing-rate modes.  The normal
-displacement component on the slip plane is not free: continuity of the
-normal stress across the plane fixes it from the two in-plane components
+is exp(D xn) in transformed variables, and Bminus for the lower half-space
+comes the same way from the growing-rate subspace.  The normal displacement
+component on the slip plane is not free: continuity of the normal stress
+across the plane fixes it from the two in-plane components
 (`normal_closure`).
 """
 
@@ -28,53 +32,52 @@ from dataclasses import dataclass, field as dfield
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .moduli import ElasticConstants, derive_parallel, derive_perp, validate
 from .nonlocal_ops import GridField2D
-
-#: rank tolerance (times ||A||) for eigenvector extraction
-RANK_TOL = 1e-9
-#: eigenvalues closer than this (times the scale) are merged into one
-#: Jordan cluster
-CLUSTER_TOL = 1e-6
 
 #: slip-plane jump matrices u_minus(0) = J u_plus(0)
 JUMP_PERP = np.diag([-1.0, 1.0, -1.0])
 JUMP_PARALLEL = np.diag([-1.0, -1.0, 1.0])
 
 
-@dataclass
-class Mode:
-    """One decaying/growing solution w(xn) = (a + xn * b) exp(lam * xn)."""
-
-    lam: complex
-    a: np.ndarray            # 6-vector (value; derivative) at xn = 0
-    b: np.ndarray            # 6-vector, zero for simple eigenvectors
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp of a stack (..., n, n) of matrices: degree-12 Taylor series after
+    scaling by 2^-s (max 1-norm <= 1/4, truncation below eps), then s
+    squarings."""
+    norm = float(np.max(np.sum(np.abs(M), axis=-2), initial=0.0))
+    s = max(0, math.ceil(math.log2(4.0 * norm))) if norm > 0.0 else 0
+    X = M / 2.0 ** s
+    eye = np.eye(M.shape[-1])
+    E = eye
+    for j in range(12, 0, -1):
+        E = eye + (X @ E) / j
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @dataclass
 class HalfSpaceSystem:
-    """Companion-matrix form of the per-frequency half-space ODE."""
+    """Per-frequency half-space ODE, reduced to its two invariant subspaces.
+
+    D_decay (D_grow) is the real 3x3 generator of the decaying (growing)
+    solutions in transformed variables: w' = D w, so the transformed
+    propagator is exp(D xn) and D is its derivative at xn = 0.
+    """
 
     orientation: str                      # "perp" | "parallel"
     k: tuple
-    A: np.ndarray                         # 6x6 real companion matrix
     eigvals: np.ndarray                   # analytic eigenvalues (6, complex)
-    modes_decay: list                     # Re(lam) < 0 (upper half-space)
-    modes_grow: list                      # Re(lam) > 0 (lower half-space)
+    D_decay: np.ndarray                   # Re(spectrum) < 0 (upper half)
+    D_grow: np.ndarray                    # Re(spectrum) > 0 (lower half)
     T: np.ndarray = dfield(repr=False, default=None)  # physical -> transformed
 
-    def _propagator(self, modes, xn) -> np.ndarray:
-        # the mode matrix and its inverse are built once for all samples;
-        # xn of shape S broadcasts to mode columns of shape S + (3, 3)
-        x = np.asarray(xn, dtype=float)[..., None, None]
-        V0 = np.column_stack([m.a[:3] for m in modes])
-        Vb = np.column_stack([m.b[:3] for m in modes])
-        lam = np.array([m.lam for m in modes])
-        cols = (V0 + x * Vb) * np.exp(lam * x)
-        Bt = cols @ np.linalg.inv(V0)
-        Ti = np.diag(1.0 / np.diag(self.T))
-        return Ti @ Bt @ self.T
+    def _physical(self, Bt: np.ndarray) -> np.ndarray:
+        # T^-1 Bt T for the diagonal T
+        t = np.diag(self.T)
+        return Bt * (t / t[:, None])
 
     def bplus(self, xn) -> np.ndarray:
         """Propagator for the upper half-space (physical variables).
@@ -82,20 +85,18 @@ class HalfSpaceSystem:
         A scalar xn gives the 3x3 matrix; an array of shape S gives a stack
         of shape S + (3, 3).
         """
-        return self._propagator(self.modes_decay, xn)
+        x = np.asarray(xn, dtype=float)[..., None, None]
+        return self._physical(_expm(self.D_decay * x))
 
     def bminus(self, xn) -> np.ndarray:
         """Propagator for the lower half-space (physical variables); xn as
         in `bplus`."""
-        return self._propagator(self.modes_grow, xn)
+        x = np.asarray(xn, dtype=float)[..., None, None]
+        return self._physical(_expm(self.D_grow * x))
 
     def dbplus0(self) -> np.ndarray:
-        """d/dxn of bplus at 0 (from the derivative rows of the modes)."""
-        modes = self.modes_decay
-        V0 = np.column_stack([m.a[:3] for m in modes])
-        D = np.column_stack([m.a[3:] for m in modes]) @ np.linalg.inv(V0)
-        Ti = np.diag(1.0 / np.diag(self.T))
-        return Ti @ D @ self.T
+        """d/dxn of bplus at 0."""
+        return self._physical(self.D_decay)
 
 
 def _blocks_perp(ec: ElasticConstants, k1: float, k3: float):
@@ -140,61 +141,13 @@ def _analytic_rates(orientation: str, ec: ElasticConstants,
                          dtype=complex)
 
 
-def _cluster(rates: np.ndarray, scale: float):
-    """Group nearly equal rates; returns list of (mean value, multiplicity)."""
-    remaining = list(rates)
-    groups = []
-    while remaining:
-        v = remaining.pop(0)
-        grp = [v]
-        remaining2 = []
-        for u in remaining:
-            if abs(u - v) < CLUSTER_TOL * scale:
-                grp.append(u)
-            else:
-                remaining2.append(u)
-        remaining = remaining2
-        groups.append((sum(grp) / len(grp), len(grp)))
-    return groups
-
-
-def _modes_for(A: np.ndarray, lam: complex, mult: int) -> list:
-    """Eigen / Jordan-chain modes of the companion matrix at eigenvalue lam.
-
-    Kernel directions come from the SVD of A - lam I with rank tolerance
-    RANK_TOL * ||A||.  When the algebraic multiplicity exceeds the kernel
-    dimension, chain seeds are the kernel combinations lying in the range of
-    A - lam I (null vectors of U0^H V0), each completed by a least-squares
-    solve of (A - lam I) z = v; chains of length > 2 do not occur here.
-    """
-    B = A - lam * np.eye(6)
-    U, sig, Vh = np.linalg.svd(B)
-    tol = RANK_TOL * np.linalg.norm(A)
-    g = int(np.sum(sig <= tol))
-    if g == 0:
-        raise np.linalg.LinAlgError(
-            f"no kernel at lam = {lam} (min sigma {sig[-1]:.3e})")
-    V0 = Vh[6 - g:].conj().T          # kernel basis (6 x g)
-    U0 = U[:, 6 - g:]                 # cokernel basis (6 x g)
-    n_chain = mult - g
-    if n_chain == 0:
-        return [Mode(lam, V0[:, j], np.zeros(6, complex)) for j in range(g)]
-    if n_chain < 0 or n_chain > g:
-        raise np.linalg.LinAlgError(
-            f"inconsistent multiplicities at lam = {lam}: alg {mult}, "
-            f"geo {g}")
-    # kernel coefficients whose vectors are in range(B): null space of U0^H V0
-    M = U0.conj().T @ V0
-    _, _, Wh = np.linalg.svd(M)
-    seeds = Wh.conj().T[:, g - n_chain:]          # g x n_chain
-    # every kernel direction is a solution; chain seeds additionally admit a
-    # generalized vector, giving the (z + xn v) e^(lam xn) solutions on top
-    modes = [Mode(lam, V0[:, j], np.zeros(6, complex)) for j in range(g)]
-    for j in range(n_chain):
-        v = V0 @ seeds[:, j]
-        z, *_ = np.linalg.lstsq(B, v, rcond=None)
-        modes.append(Mode(lam, z, v))
-    return modes
+def _symmetric_functions(M: np.ndarray):
+    """Trace, sum of principal 2x2 minors and determinant of a 3x3 matrix:
+    the elementary symmetric functions of its eigenvalues."""
+    minors = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+              + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
+              + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+    return np.trace(M), minors, np.linalg.det(M)
 
 
 def build_halfspace(orientation: str, ec: ElasticConstants,
@@ -202,9 +155,15 @@ def build_halfspace(orientation: str, ec: ElasticConstants,
     """Assemble the companion system at slip-plane frequency (k1, k2).
 
     For "perp" the frequency is (k1, k3) and the normal is x2; for
-    "parallel" it is (k1, k2) with normal x3.  Raises for k = 0 and when the
-    numeric spectrum of the companion matrix disagrees with the analytic
-    rates (cluster means compared at 1e-10 relative).
+    "parallel" it is (k1, k2) with normal x3.  Each half-space comes from
+    the ordered real Schur form A Z = Z S of the 6x6 companion matrix: the
+    leading three Schur vectors span the decaying ("lhp") or growing
+    ("rhp") solutions, whose values V = Z[:3, :3] and derivatives
+    Z[3:, :3] = V S give the generator D = V S V^-1.  This basis does not
+    depend on the Jordan structure, so r1 -> r2 (delta -> 1) needs no
+    special case.  Raises for k = 0, and raises LinAlgError unless each
+    leading block has three eigenvalues whose elementary symmetric functions
+    match those of -+ the analytic rates (at 1e-10 |k|^j).
     """
     if orientation not in ("perp", "parallel"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -224,32 +183,28 @@ def build_halfspace(orientation: str, ec: ElasticConstants,
     A = np.block([[np.zeros((3, 3)), np.eye(3)],
                   [-M2inv @ M0, -M2inv @ M1]])
 
-    rates = _analytic_rates(orientation, ec, k1, k2)
+    r = _analytic_rates(orientation, ec, k1, k2)
+    e_rates = (r[0] + r[1] + r[2], r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
+               r[0] * r[1] * r[2])
     scale = math.hypot(k1, k2)
-    groups = _cluster(rates, scale)
-
-    # cross-check the analytic rates against the numeric spectrum; Jordan
-    # blocks scatter individual numeric eigenvalues by ~sqrt(eps), but the
-    # cluster means are accurate
-    num = np.linalg.eigvals(A)
-    for val, mult in groups:
-        for sgn in (1.0, -1.0):
-            lam = sgn * val
-            idx = np.argsort(np.abs(num - lam))[:mult]
-            if abs(np.mean(num[idx]) - lam) > 1e-10 * scale:
+    D = {}
+    for sort, sgn in (("lhp", -1.0), ("rhp", 1.0)):
+        S, Z, sdim = scipy.linalg.schur(A, output="real", sort=sort)
+        if sdim != 3:
+            raise np.linalg.LinAlgError(
+                f"{sort} Schur block has dimension {sdim}, not 3")
+        # the characteristic polynomial of the block is well conditioned
+        # even where single eigenvalues of a near-Jordan cluster are not
+        e_num = _symmetric_functions(S[:3, :3])
+        for j, (num, ana) in enumerate(zip(e_num, e_rates), start=1):
+            if not abs(num - sgn ** j * ana) <= 1e-10 * scale ** j:
                 raise np.linalg.LinAlgError(
-                    f"companion spectrum mismatch at {lam}: cluster mean "
-                    f"{np.mean(num[idx])}")
-
-    eigvals = np.concatenate([[v] * m for v, m in groups]
-                             + [[-v] * m for v, m in groups])
-    modes_decay, modes_grow = [], []
-    for val, mult in groups:
-        modes_decay.extend(_modes_for(A, -val, mult))
-        modes_grow.extend(_modes_for(A, val, mult))
-    return HalfSpaceSystem(orientation=orientation, k=(k1, k2), A=A,
-                           eigvals=eigvals, modes_decay=modes_decay,
-                           modes_grow=modes_grow, T=T)
+                    f"companion spectrum mismatch ({sort}, e{j}): {num} "
+                    f"vs {sgn ** j * ana}")
+        D[sort] = Z[3:, :3] @ np.linalg.inv(Z[:3, :3])
+    return HalfSpaceSystem(orientation=orientation, k=(k1, k2),
+                           eigvals=np.concatenate([r, -r]),
+                           D_decay=D["lhp"], D_grow=D["rhp"], T=T)
 
 
 def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants,

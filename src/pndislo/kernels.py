@@ -15,7 +15,7 @@ finite differences in extended precision (no computer-algebra layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,21 +138,19 @@ def kernel_case1_parts(dp: DerivedPerp) -> tuple[KernelForm, KernelForm]:
 
 def kernel_case1(dp: DerivedPerp) -> KernelForm:
     """Composite case-I kernel K = 2 mu delta (sqrt(delta) K1 + nu K2)."""
-    p, de, b, c = dp.p, dp.delta, dp.b, dp.c
-    w1 = 2.0 * dp.mu * de * np.sqrt(de)
-    w2 = 2.0 * dp.mu * de * dp.nu
+    k1, k2 = (kf.terms[0] for kf in kernel_case1_parts(dp))
+    de = dp.delta
     return KernelForm("I", (
-        KernelTerm(w1, _k1_coeffs(p, de, b, c), de, 1.5, (b, c), 3),
-        KernelTerm(w2, _k2_coeffs(p, de, b, c), 1.0, 1.5, (b, c), 3),
+        replace(k1, prefactor=2.0 * dp.mu * de * np.sqrt(de)),
+        replace(k2, prefactor=2.0 * dp.mu * de * dp.nu),
     ))
 
 
 def kernel_case2(dp: DerivedPerp) -> KernelForm:
     """Case-II kernel 2 mu (A z1^6 + ... + D z3^6)/(|z|^3 (q z1^2 + p z3^2)^3).
 
-    Written as a KernelTerm with the cubic denominator factor expressed as a
-    weighted radial factor of power 3: (q z1^2 + p z3^2)^3 = q^3 (z1^2 +
-    (p/q) z3^2)^3.
+    Evaluated by `_RationalCubicTerm` with (a, b) = (q, p), which keeps the
+    |z|^3 factor and the cubic factor (q z1^2 + p z3^2)^3 apart.
     """
     return KernelForm("II", (
         _RationalCubicTerm(2.0 * dp.mu, _case2_coeffs(dp.p, dp.q), dp.q, dp.p),
@@ -327,11 +325,7 @@ def pde_residual(case: str, params, x1, x3, h_rel: float = 1e-2,
         dp: DerivedPerp = params
         p, de, b, c = _L(dp.p), _L(dp.delta), _L(dp.b), _L(dp.c)
         which = 0 if case == "I_K1" else 1
-        kf = kernel_case1_parts(dp)[which]
-
-        def f(a, s):
-            return kf.terms[0](a, s)
-
+        f = kernel_case1_parts(dp)[which].terms[0]
         lhs = c * _fd_axis(f, x1, x3, 4, h, 0, order) \
             + b * _fd_mixed22(f, x1, x3, h, order) \
             + _fd_axis(f, x1, x3, 4, h, 1, order)
@@ -339,11 +333,7 @@ def pde_residual(case: str, params, x1, x3, h_rel: float = 1e-2,
     elif case == "II":
         dp = params
         p, q = _L(dp.p), _L(dp.q)
-        kf = kernel_case2(dp)
-
-        def f(a, s):
-            return kf.terms[0](a, s)
-
+        f = kernel_case2(dp).terms[0]
         lhs = p * _fd_axis(f, x1, x3, 2, h, 0, order) \
             + q * _fd_axis(f, x1, x3, 2, h, 1, order)
         rhs = 2 * _L(dp.mu) * (p * _d2_inv_r3(x1, x3, 0)
@@ -351,11 +341,7 @@ def pde_residual(case: str, params, x1, x3, h_rel: float = 1e-2,
     elif case == "III":
         dpar: DerivedParallel = params
         e1, e2 = _L(dpar.eta1), _L(dpar.eta2)
-        kf = kernel_case3(dpar)
-
-        def f(a, s):
-            return kf.terms[0](a, s)
-
+        f = kernel_case3(dpar).terms[0]
         lhs = e2 * _fd_axis(f, x1, x3, 2, h, 0, order) \
             + e1 * _fd_axis(f, x1, x3, 2, h, 1, order)
         rhs = e1 * e2 * (_d2_inv_r3(x1, x3, 0) + _d2_inv_r3(x1, x3, 1))

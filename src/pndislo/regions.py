@@ -132,7 +132,7 @@ class Case:
 
     `derive(ec)` gives the case's parameter set; `symbol` and `dtn` take
     (params, k1, k2); `member(params)` is the strict kernel-positivity
-    predicate; `scan_params(a, b, mu)` maps a scan cell on the axes
+    predicate; `scan_params(a, b)` maps a scan cell on the axes
     `axis_names` to parameters and raises ValueError outside the admissible
     set.  The kernel is `kernels.build_kernel(name, params)`.
     """
@@ -146,12 +146,11 @@ class Case:
     axis_names: tuple
 
 
-def _perp_cell(nu, delta, mu):
-    return perp_from_parameters(mu, nu, delta)
+def _perp_cell(nu, delta):
+    return perp_from_parameters(1.0, nu, delta)
 
 
-def _isotropic_parallel_cell(mu_iso, nu_iso, mu):
-    # case III scans the isotropic embedding; the scan's mu is not used
+def _isotropic_parallel_cell(mu_iso, nu_iso):
     return derive_parallel(from_isotropic(mu_iso, nu_iso))
 
 
@@ -203,18 +202,15 @@ def _grid_kernel_min(kf, n_theta: int = 512) -> float:
     return float(np.min(kf(np.cos(th), np.sin(th))))
 
 
-def scan(region: str, axis1, axis2, mu: float = 1.0,
-         n_theta: int = 512) -> RegionScan:
+def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     """Scan a parameter grid on the case's axes: (nu, delta) at shear modulus
-    mu for cases I/II, (mu, nu) of the isotropic embedding for case III.
+    1 for cases I/II, (mu, nu) of the isotropic embedding for case III.
 
     Cells outside the admissible set are non-members with kmin = nan.
     Boundary cells are those whose closed-form membership differs from any
     of their 8 neighbors (one-cell ambiguous band).
     """
     c = case(region)
-    if not mu > 0.0:
-        raise ValueError(f"mu = {mu} must be positive")
     axis1 = np.asarray(axis1, dtype=float)
     axis2 = np.asarray(axis2, dtype=float)
     if axis1.size < 2 or axis2.size < 2:
@@ -226,7 +222,7 @@ def scan(region: str, axis1, axis2, mu: float = 1.0,
     for i, a in enumerate(axis1):
         for j, b in enumerate(axis2):
             try:
-                params = c.scan_params(a, b, mu)
+                params = c.scan_params(a, b)
             except ValueError:
                 continue
             member[i, j] = c.member(params)

@@ -62,26 +62,37 @@ def test_propagator_array_matches_stacked_scalar(orientation, ec, k1, k2):
         assert np.max(np.abs(arr - stacked)) <= 1e-14
 
 
-# delta = C66/C44 within ~3e-3 of 1 but not 1: r1 and r2 nearly coincide
-# without being merged into one cluster, and the rank test at each rate
-# misjudges the kernel dimension.  Fixing it needs a confluent mode basis.
+# delta = C66/C44 within ~3e-3 of 1 but not 1: r1 and r2 nearly coincide,
+# so the eigenvectors of the companion matrix are nearly dependent; the
+# Schur basis of the decaying subspace does not depend on them.
 NEAR_DELTA_ONE = [
-    # delta - 1 = 5.4e-4: "alg 1, geo 2"
+    # delta - 1 = 5.4e-4
     (ElasticConstants(2.049273081042775, -0.02701979487712576,
                       2.049273081042775, 1.0381464379599503,
                       1.0387052955728222), -4.0, 1.0),
-    # delta - 1 = 1e-6: "alg 3, geo 1"
+    # delta - 1 = 1e-6
     (perp_to_constants(perp_from_parameters(1.0, 0.25, 1.0 + 1e-6)),
      1.0, 1.0),
 ]
 
 
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
-                   reason="no confluent mode basis for r1 close to r2")
 @pytest.mark.parametrize("ec,k1,k2", NEAR_DELTA_ONE)
 def test_build_halfspace_near_delta_one(ec, k1, k2):
     sys = extension.build_halfspace("perp", ec, k1, k2)
     assert np.max(np.abs(sys.bplus(0.0) - np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-6, 1e-4])
+def test_propagator_continuous_through_delta_one(d):
+    # B depends smoothly on delta, so the confluent limit r1 -> r2 is
+    # approached at rate O(delta - 1)
+    iso = perp_to_constants(perp_from_parameters(1.0, 0.25, 1.0))
+    near = perp_to_constants(perp_from_parameters(1.0, 0.25, 1.0 + d))
+    xs = np.array([0.3, 1.0, 2.5])
+    for k1, k2 in [(1.0, 1.0), (-4.0, 1.0), (0.0, 2.0), (3.0, 0.0)]:
+        b_iso = extension.build_halfspace("perp", iso, k1, k2).bplus(xs)
+        b_near = extension.build_halfspace("perp", near, k1, k2).bplus(xs)
+        assert np.max(np.abs(b_near - b_iso)) <= d
 
 
 def test_build_halfspace_validation():
@@ -297,3 +308,21 @@ def test_extend_matches_per_sample_reference(orientation, ec, x_normal):
     ref = _extend_reference(orientation, ec, ua, ub, x_normal)
     assert np.array_equal(fld.x_normal, np.sort(x_normal))
     assert np.max(np.abs(fld.u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_extend_near_delta_one():
+    ec = NEAR_DELTA_ONE[0][0]
+    rng = np.random.default_rng(3)
+    L = 2 * np.pi
+    ua, ub = _smooth_field(rng, 16, L), _smooth_field(rng, 16, L)
+    xn = 0.1 * np.arange(-40, 41)
+    fld = extension.extend("perp", ec, ua, ub, xn)
+    assert extension.interior_residual(fld) <= 1e-6
+
+
+def test_build_halfspace_rejects_spectrum_mismatch(monkeypatch):
+    rates = extension._analytic_rates
+    monkeypatch.setattr(extension, "_analytic_rates",
+                        lambda *a: rates(*a) * (1.0 + 1e-8))
+    with pytest.raises(np.linalg.LinAlgError, match="spectrum mismatch"):
+        extension.build_halfspace("perp", PERP2, 0.9, 1.1)

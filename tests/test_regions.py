@@ -107,8 +107,6 @@ def test_scan_rejects_bad_input():
         regions.scan("I", [0.1], [0.5, 1.0])
     with pytest.raises(ValueError):
         regions.scan("X", [0.1, 0.2], [0.5, 1.0])
-    with pytest.raises(ValueError):
-        regions.scan("I", [0.1, 0.2], [0.5, 1.0], mu=0.0)
 
 
 def test_scan_csv_deterministic(tmp_path):
