@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _add_material(p, need_delta=True):
+def _add_material(p):
     p.add_argument("--c11", type=float)
     p.add_argument("--c13", type=float)
     p.add_argument("--c33", type=float)
@@ -61,8 +61,7 @@ def _add_material(p, need_delta=True):
     p.add_argument("--c66", type=float)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
-    if need_delta:
-        p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=float, default=None)
 
 
 def _material_constants(args):
@@ -77,8 +76,7 @@ def _material_constants(args):
         raise _ArgumentError("material missing: five constants or "
                              "--mu/--nu/--delta")
     mu = 1.0 if args.mu is None else args.mu
-    delta = getattr(args, "delta", None)
-    delta = 1.0 if delta is None else delta
+    delta = 1.0 if args.delta is None else args.delta
     return perp_to_constants(perp_from_parameters(mu, args.nu, delta))
 
 
@@ -415,7 +413,13 @@ def main(argv=None) -> int:
     try:
         # config values preload the subcommand: splice them right after the
         # subcommand token so explicit flags (parsed later) take precedence
-        pre, _ = _global_parser().parse_known_args(argv)
+        pre, rest = _global_parser().parse_known_args(argv)
+        # anything left before the subcommand that looks like an option is
+        # not a global one; argparse would report its value as the command
+        if rest and rest[0].startswith("-") and rest[0] not in ("-h",
+                                                                 "--help"):
+            raise _ArgumentError(f"unknown option {rest[0].split('=')[0]} "
+                                 "before the subcommand")
         if pre.config:
             sub_names = {"validate", "region", "symbol", "kernel", "solve",
                          "extend", "verify"}

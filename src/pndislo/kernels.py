@@ -1,13 +1,19 @@
 """Closed-form -3-homogeneous kernels of the reduced nonlocal operators.
 
-Each kernel is a rational-power function
+Every kernel is a sum of terms of one form,
 
-    K(x) = prefactor * N(x1, x3) / ((x1^2 + w x3^2)^(s/2) * Q(x1, x3)^3)
+    K(x) = prefactor * N(x1, x3) / ((x1^2 + w x3^2)^rp * P(x1, x3)^3),
 
-with an even polynomial numerator N, a radial-type factor of weight w, and
-(for the perpendicular cases) a positive quartic Q = x1^4 + b x1^2 x3^2 +
-c x3^4.  The case-I composite kernel is a weighted pair (K1, K2) because the
-two radial factors differ.
+with N and P even homogeneous polynomials in (x1^2, x3^2) and rp chosen so
+that K is -3-homogeneous.  The cases differ only in their coefficients:
+
+    case I    P = x1^4 + b x1^2 x3^2 + c x3^4,  w = delta or 1,  rp = 3/2
+    case II   P = q x1^2 + p x3^2,               w = 1,           rp = 3/2
+    case III  P = eta1 x1^2 + eta2 x2^2,         w = 1,           rp = 1/2
+    iso       P = x1^2 + q x3^2,                 w = 1,           rp = 1/2
+
+The case-I composite kernel is a weighted pair (K1, K2) because the two
+radial factors differ.
 
 The defining second/fourth-order PDEs are verified numerically by high-order
 finite differences in extended precision (no computer-algebra layer).
@@ -25,32 +31,51 @@ from .moduli import DerivedParallel, DerivedPerp
 
 _L = np.longdouble
 
+#: order of the central finite-difference stencils in `pde_residual`
+FD_ORDER = 8
+#: their step, relative to the distance from the origin
+FD_H_REL = 1e-2
+
+
+def _even_poly(coeffs, x1sq, x3sq):
+    """sum_i coeffs[i] x1^(2(n-1-i)) x3^(2i) (descending in x1), by Horner
+    in x1^2: p <- p x1^2 + a x3^(2i).  Needs at least two coefficients."""
+    p = coeffs[0] * x1sq
+    p += coeffs[1] * x3sq
+    t = x3sq
+    for a in coeffs[2:]:
+        t = t * x3sq
+        p *= x1sq
+        p += a * t
+    return p
+
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """One rational-power term: prefactor * N / ((x1^2+w x3^2)^(rp) * Q^qp)."""
+    """prefactor * N / ((x1^2 + w x3^2)^rp * P^3), N and P even in x1, x3.
+
+    Works on arrays, in place on its own temporaries, and on numpy scalars
+    of any float precision.
+    """
 
     prefactor: float
-    num_coeffs: tuple            # even-degree coefficients, descending in x1
-    radial_weight: float         # w in (x1^2 + w x3^2)
-    radial_power: float          # exponent of the radial factor (halves)
-    quartic: tuple | None        # (b, c) of x1^4 + b x1^2 x3^2 + c x3^4
-    quartic_power: int
+    num_coeffs: tuple            # N's coefficients, descending in x1
+    radial_weight: float         # w
+    radial_power: float          # rp
+    den_coeffs: tuple            # P's coefficients, descending in x1
 
     def __call__(self, x1, x3):
-        x1 = np.asarray(x1)
-        x3 = np.asarray(x3)
-        n = len(self.num_coeffs)
-        num = np.zeros(np.broadcast(x1, x3).shape, dtype=np.result_type(x1, x3, float))
         x1sq, x3sq = x1 * x1, x3 * x3
-        for i, a in enumerate(self.num_coeffs):
-            num = num + a * x1sq ** (n - 1 - i) * x3sq ** i
-        den = (x1sq + self.radial_weight * x3sq) ** self.radial_power
-        if self.quartic is not None:
-            b, c = self.quartic
-            den = den * (x1sq * x1sq + b * x1sq * x3sq + c * x3sq * x3sq) \
-                ** self.quartic_power
-        return self.prefactor * num / den
+        out = _even_poly(self.num_coeffs, x1sq, x3sq)
+        out *= self.prefactor
+        den = _even_poly(self.den_coeffs, x1sq, x3sq)
+        den *= den * den
+        rad = self.radial_weight * x3sq
+        rad += x1sq
+        rad **= self.radial_power
+        den *= rad
+        out /= den
+        return out
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,7 @@ class KernelForm:
             raise ValueError("kernel evaluation at the origin is excluded")
         out = self.terms[0](x1, x3)
         for t in self.terms[1:]:
-            out = out + t(x1, x3)
+            out += t(x1, x3)
         return out
 
 
@@ -131,8 +156,9 @@ def _iso_coeffs(q):
 def kernel_case1_parts(dp: DerivedPerp) -> tuple[KernelForm, KernelForm]:
     """The unweighted pair (K1, K2) of the case-I composite kernel."""
     p, de, b, c = dp.p, dp.delta, dp.b, dp.c
-    k1 = KernelTerm(1.0, _k1_coeffs(p, de, b, c), de, 1.5, (b, c), 3)
-    k2 = KernelTerm(1.0, _k2_coeffs(p, de, b, c), 1.0, 1.5, (b, c), 3)
+    quartic = (1.0, b, c)
+    k1 = KernelTerm(1.0, _k1_coeffs(p, de, b, c), de, 1.5, quartic)
+    k2 = KernelTerm(1.0, _k2_coeffs(p, de, b, c), 1.0, 1.5, quartic)
     return KernelForm("I", (k1,)), KernelForm("I", (k2,))
 
 
@@ -147,70 +173,24 @@ def kernel_case1(dp: DerivedPerp) -> KernelForm:
 
 
 def kernel_case2(dp: DerivedPerp) -> KernelForm:
-    """Case-II kernel 2 mu (A z1^6 + ... + D z3^6)/(|z|^3 (q z1^2 + p z3^2)^3).
-
-    Evaluated by `_RationalCubicTerm` with (a, b) = (q, p), which keeps the
-    |z|^3 factor and the cubic factor (q z1^2 + p z3^2)^3 apart.
-    """
-    return KernelForm("II", (
-        _RationalCubicTerm(2.0 * dp.mu, _case2_coeffs(dp.p, dp.q), dp.q, dp.p),
-    ))
-
-
-@dataclass(frozen=True)
-class _RationalCubicTerm:
-    """prefactor * N(z) / (|z|^3 (a z1^2 + b z3^2)^3) with sextic even N."""
-
-    prefactor: float
-    num_coeffs: tuple
-    a: float
-    b: float
-
-    def __call__(self, x1, x3):
-        x1 = np.asarray(x1)
-        x3 = np.asarray(x3)
-        x1sq, x3sq = x1 * x1, x3 * x3
-        A, B, C, D = self.num_coeffs
-        num = A * x1sq ** 3 + B * x1sq ** 2 * x3sq + C * x1sq * x3sq ** 2 \
-            + D * x3sq ** 3
-        den = (x1sq + x3sq) ** 1.5 * (self.a * x1sq + self.b * x3sq) ** 3
-        return self.prefactor * num / den
-
-
-@dataclass(frozen=True)
-class _QuarticOverHalfTerm:
-    """prefactor * N(z) / (|z| (a z1^2 + b z2^2)^3) with quartic even N."""
-
-    prefactor: float
-    num_coeffs: tuple
-    a: float
-    b: float
-
-    def __call__(self, x1, x2):
-        x1 = np.asarray(x1)
-        x2 = np.asarray(x2)
-        x1sq, x2sq = x1 * x1, x2 * x2
-        A, B, C = self.num_coeffs
-        num = A * x1sq ** 2 + B * x1sq * x2sq + C * x2sq ** 2
-        den = (x1sq + x2sq) ** 0.5 * (self.a * x1sq + self.b * x2sq) ** 3
-        return self.prefactor * num / den
+    """Case-II kernel 2 mu (A z1^6 + ... + D z3^6)/(|z|^3 (q z1^2 + p z3^2)^3)."""
+    return KernelForm("II", (KernelTerm(
+        2.0 * dp.mu, _case2_coeffs(dp.p, dp.q), 1.0, 1.5, (dp.q, dp.p)),))
 
 
 def kernel_case3(dpar: DerivedParallel) -> KernelForm:
     """Case-III kernel eta1 eta2 (A z1^4 + B z1^2 z2^2 + C z2^4) /
     (|z| (eta1 z1^2 + eta2 z2^2)^3)."""
     e1, e2 = dpar.eta1, dpar.eta2
-    return KernelForm("III", (
-        _QuarticOverHalfTerm(e1 * e2, _case3_coeffs(e1, e2), e1, e2),
-    ))
+    return KernelForm("III", (KernelTerm(
+        e1 * e2, _case3_coeffs(e1, e2), 1.0, 0.5, (e1, e2)),))
 
 
 def kernel_isotropic(mu: float, q: float) -> KernelForm:
     """Fully isotropic kernel 2 mu (A z1^4 + B z1^2 z3^2 + C z3^4) /
     (|z| (z1^2 + q z3^2)^3), q = 1 - nu."""
-    return KernelForm("iso", (
-        _QuarticOverHalfTerm(2.0 * mu, _iso_coeffs(q), 1.0, q),
-    ))
+    return KernelForm("iso", (KernelTerm(
+        2.0 * mu, _iso_coeffs(q), 1.0, 0.5, (1.0, q)),))
 
 
 def build_kernel(case: str, params) -> KernelForm:
@@ -256,27 +236,16 @@ def _fd_weights(m: int, half_width: int) -> tuple:
     return tuple(offsets), tuple(float(d[n - 1][j][m]) for j in range(n))
 
 
-def _fd_axis(f, x1, x3, m, h, axis, order=8):
-    """m-th derivative along one axis, FD of the given order, longdouble."""
-    half = (m + order) // 2
-    off, w = _fd_weights(m, half)
-    acc = np.zeros_like(np.asarray(f(x1, x3)), dtype=_L)
-    for o, wi in zip(off, w):
-        if axis == 0:
-            acc = acc + _L(wi) * f(x1 + o * h, x3)
-        else:
-            acc = acc + _L(wi) * f(x1, x3 + o * h)
-    return acc / h ** m
-
-
-def _fd_mixed22(f, x1, x3, h, order=8):
-    half = (2 + order) // 2
-    off, w = _fd_weights(2, half)
-    acc = np.zeros_like(np.asarray(f(x1, x3)), dtype=_L)
-    for oi, wi in zip(off, w):
-        for oj, wj in zip(off, w):
+def _fd(f, x1, x3, m1, m3, h):
+    """d^m1/dx1^m1 d^m3/dx3^m3 of f at (x1, x3) in longdouble: the tensor
+    product of central stencils of order FD_ORDER, one point where m = 0."""
+    (o1, w1), (o3, w3) = (_fd_weights(m, (m + FD_ORDER) // 2 if m else 0)
+                          for m in (m1, m3))
+    acc = _L(0)
+    for oi, wi in zip(o1, w1):
+        for oj, wj in zip(o3, w3):
             acc = acc + _L(wi) * _L(wj) * f(x1 + oi * h, x3 + oj * h)
-    return acc / h ** 4
+    return acc / h ** (m1 + m3)
 
 
 def _rhs_case1_K1(dp, x1, x3):
@@ -302,8 +271,7 @@ def _d2_inv_r3(x1, x3, i):
     return 3 * (5 * zi2 - r2) / r2 ** _L(3.5)
 
 
-def pde_residual(case: str, params, x1, x3, h_rel: float = 1e-2,
-                 order: int = 8) -> float:
+def pde_residual(case: str, params, x1, x3) -> float:
     """Relative residual of the defining kernel PDE at a point.
 
     case "I_K1": (c d1^4 + b d1^2 d3^2 + d3^4) K1 = G1
@@ -311,43 +279,40 @@ def pde_residual(case: str, params, x1, x3, h_rel: float = 1e-2,
     case "II":   (p d1^2 + q d3^2) K = 2 mu (p d1^2 + d3^2) |z|^-3
     case "III":  (eta2 d1^2 + eta1 d2^2) K = eta1 eta2 (d1^2 + d2^2) |z|^-3
 
-    Left side by order-8 central finite differences in extended precision with
-    h = h_rel * |x|; right side analytic.  Returns |L K - G|/(|G| + 1).
+    Left side by order-FD_ORDER central finite differences in extended
+    precision with h = FD_H_REL * |x|; right side analytic.  Returns
+    |L K - G|/(|G| + 1).
     """
     r = float(np.hypot(x1, x3))
     if r < 1e-6:
         raise ValueError("evaluation point too close to the singularity")
-    h = _L(h_rel) * _L(r)
+    h = _L(FD_H_REL) * _L(r)
     x1 = _L(x1)
     x3 = _L(x3)
 
+    # the operator as (coefficient, m1, m3) per derivative d1^m1 d3^m3
     if case in ("I_K1", "I_K2"):
         dp: DerivedPerp = params
-        p, de, b, c = _L(dp.p), _L(dp.delta), _L(dp.b), _L(dp.c)
         which = 0 if case == "I_K1" else 1
         f = kernel_case1_parts(dp)[which].terms[0]
-        lhs = c * _fd_axis(f, x1, x3, 4, h, 0, order) \
-            + b * _fd_mixed22(f, x1, x3, h, order) \
-            + _fd_axis(f, x1, x3, 4, h, 1, order)
+        ops = ((dp.c, 4, 0), (dp.b, 2, 2), (1.0, 0, 4))
         rhs = (_rhs_case1_K1 if which == 0 else _rhs_case1_K2)(dp, x1, x3)
     elif case == "II":
         dp = params
-        p, q = _L(dp.p), _L(dp.q)
         f = kernel_case2(dp).terms[0]
-        lhs = p * _fd_axis(f, x1, x3, 2, h, 0, order) \
-            + q * _fd_axis(f, x1, x3, 2, h, 1, order)
-        rhs = 2 * _L(dp.mu) * (p * _d2_inv_r3(x1, x3, 0)
+        ops = ((dp.p, 2, 0), (dp.q, 0, 2))
+        rhs = 2 * _L(dp.mu) * (_L(dp.p) * _d2_inv_r3(x1, x3, 0)
                                + _d2_inv_r3(x1, x3, 1))
     elif case == "III":
         dpar: DerivedParallel = params
         e1, e2 = _L(dpar.eta1), _L(dpar.eta2)
         f = kernel_case3(dpar).terms[0]
-        lhs = e2 * _fd_axis(f, x1, x3, 2, h, 0, order) \
-            + e1 * _fd_axis(f, x1, x3, 2, h, 1, order)
+        ops = ((e2, 2, 0), (e1, 0, 2))
         rhs = e1 * e2 * (_d2_inv_r3(x1, x3, 0) + _d2_inv_r3(x1, x3, 1))
     else:
         raise ValueError(f"unknown PDE case {case!r}")
 
+    lhs = sum(_L(a) * _fd(f, x1, x3, m1, m3, h) for a, m1, m3 in ops)
     return float(abs(lhs - rhs) / (abs(rhs) + 1))
 
 
@@ -364,61 +329,52 @@ def circle_profile(kf: KernelForm, n_theta: int = 512):
 
 
 def _zeta_candidates(kf: KernelForm, params) -> list:
-    """Closed-form interior critical angles arccos(zeta) per case."""
-    out = []
-    if kf.case in ("II", "iso"):
-        if kf.case == "II":
-            p, q = params.p, params.q
-        else:
-            p, q = 1.0, params[1]
-        if p != q and (p <= 0.75 * q or p >= 4.0 * q / 3.0):
-            base = 2 * q * q - p * q - p * p
-            root = abs(p - q) * np.sqrt(p * p + q * q)
-            for s in (+1.0, -1.0):
-                z2 = (base + s * root) / (p - q) ** 2
-                if 0.0 <= z2 <= 1.0:
-                    out.append(float(np.arccos(np.sqrt(z2))))
+    """Closed-form interior critical angles arccos(sqrt(u)), u = cos^2 theta.
+
+    On the unit circle the case-II, case-III and iso kernels are N(u)/P(u)^3
+    with P = a z1^2 + b z3^2, where (a, b) = (q, p), (eta1, eta2) and (1, q).
+    For each of their numerators K'(u) = 0 is the quadratic
+    (b - a)^2 u^2 + 2 (b - a)(b + 2a) u - b (3b - 4a) = 0, with roots
+    u = (-b - 2a +- 2 sqrt(a^2 + b^2)) / (b - a).  Case I has none.
+    """
+    if kf.case == "II":
+        a, b = params.q, params.p
     elif kf.case == "III":
-        ell = params.eta1 / params.eta2
-        if 0.5 < ell < 0.75 or 4.0 / 3.0 < ell < 2.0:
-            z2 = (1.0 + 2.0 * ell - 2.0 * np.sqrt(1.0 + ell * ell)) / (ell - 1.0)
-            if 0.0 <= z2 <= 1.0:
-                out.append(float(np.arccos(np.sqrt(z2))))
-    return out
+        a, b = params.eta1, params.eta2
+    elif kf.case == "iso":
+        a, b = 1.0, params[1]
+    else:
+        return []
+    if a == b:
+        return []
+    roots = ((-b - 2.0 * a + s * 2.0 * np.hypot(a, b)) / (b - a)
+             for s in (1.0, -1.0))
+    return [float(np.arccos(np.sqrt(u))) for u in roots if 0.0 <= u <= 1.0]
 
 
-def circle_min(kf: KernelForm, params=None, refine: bool = True):
+def circle_min(kf: KernelForm, params=None):
     """(theta_min, k_min) of theta -> K(cos theta, sin theta) on [0, pi).
 
-    Candidates are the endpoints {0, pi/2} plus the closed-form interior
-    critical angles where available; each candidate is sharpened by a bounded
-    golden-section pass, with a dense-grid fallback cross-check.
+    K depends on theta only through cos^2 theta, so 0 and pi/2 are exact
+    critical angles; with `params`, `_zeta_candidates` adds the interior
+    ones in closed form, and K is taken there as it is.  Only when a 4096-angle
+    grid goes lower does a zoom of 65 angles a pass close in on its best one.
     """
     cands = [0.0, 0.5 * np.pi]
     if params is not None:
         cands += _zeta_candidates(kf, params)
-        # candidate angles are symmetric about pi/2 on [0, pi)
-        cands += [np.pi - t for t in list(cands) if 0.0 < t < np.pi]
 
     def kv(t):
         return float(kf(np.cos(t), np.sin(t)))
 
     best_t, best_v = min(((t, kv(t)) for t in cands), key=lambda tv: tv[1])
-
-    if refine:
-        from scipy.optimize import minimize_scalar
-        for t in cands:
-            lo, hi = t - 0.05 * np.pi, t + 0.05 * np.pi
-            res = minimize_scalar(kv, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            if res.fun < best_v:
-                best_t, best_v = float(res.x), float(res.fun)
-        # dense-grid fallback: guard against a missed bracket
-        th, vals = circle_profile(kf, 4096)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            res = minimize_scalar(
-                kv, bounds=(th[i] - 2e-3, th[i] + 2e-3), method="bounded",
-                options={"xatol": 1e-12})
-            best_t, best_v = float(res.x), float(res.fun)
+    th, vals = circle_profile(kf, 4096)
+    i = int(np.argmin(vals))
+    if vals[i] < best_v:
+        lo, hi = th[i] - 2e-3, th[i] + 2e-3
+        while hi - lo > 1e-12:
+            t = np.linspace(lo, hi, 65)
+            j = int(np.argmin(kf(np.cos(t), np.sin(t))))
+            lo, hi = t[max(j - 1, 0)], t[min(j + 1, 64)]
+        best_t, best_v = float(t[j]), kv(t[j])
     return best_t % np.pi, best_v

@@ -9,8 +9,8 @@ Two families of derived parameters are computed here:
 
 * the "perpendicular" set (mu, nu, delta, p, q, b, c), valid when the special
   algebraic condition  sqrt(C11 C33) - C13 - 2 C44 = 0  and  C11 = C33  holds;
-* the "parallel" set (alpha, beta, gamma, delta_ratio, tau, tau_tilde,
-  theta1..3, eta1, eta2), defined for any valid constants.
+* the "parallel" set (tau, tau_tilde, theta1..3, eta1, eta2), defined for
+  any valid constants.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class DerivedParallel:
     (eta2 <= 0 is reported, not raised).
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta_ratio: float
     tau: float
     tau_tilde: complex
     theta1: float
@@ -208,8 +204,6 @@ def derive_parallel(ec: ElasticConstants,
     if abs(tau_tilde.imag) <= tol_rel * (abs(tau_tilde) + tau):
         tau_tilde = complex(tau_tilde.real, 0.0)
 
-    return DerivedParallel(alpha=alpha, beta=beta, gamma=gamma,
-                           delta_ratio=delta_ratio, tau=tau,
-                           tau_tilde=tau_tilde, theta1=theta1,
+    return DerivedParallel(tau=tau, tau_tilde=tau_tilde, theta1=theta1,
                            theta2=theta2, theta3=theta3,
                            eta1=eta1, eta2=eta2, eta2_positive=eta2 > 0.0)

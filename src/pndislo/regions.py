@@ -197,9 +197,19 @@ class RegionScan:
                              f"{self.kmin[i, j]:.17g}\n")
 
 
-def _grid_kernel_min(kf, n_theta: int = 512) -> float:
-    th = np.linspace(0.0, np.pi, n_theta, endpoint=False) + 0.5 * np.pi / n_theta
-    return float(np.min(kf(np.cos(th), np.sin(th))))
+def _boundary(member, admissible):
+    """Cells whose membership or admissibility differs from any of their 8
+    neighbours.  Each grid is compared with shifts of its edge-padded copy:
+    a neighbour clipped at the edge is the cell itself or a real neighbour,
+    so the padding adds no difference."""
+    n1, n2 = member.shape
+    out = np.zeros((n1, n2), dtype=bool)
+    for g in (member, admissible):
+        pad = np.pad(g, 1, mode="edge")
+        for di in range(3):
+            for dj in range(3):
+                out |= pad[di:di + n1, dj:dj + n2] != g
+    return out
 
 
 def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
@@ -207,8 +217,8 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     1 for cases I/II, (mu, nu) of the isotropic embedding for case III.
 
     Cells outside the admissible set are non-members with kmin = nan.
-    Boundary cells are those whose closed-form membership differs from any
-    of their 8 neighbors (one-cell ambiguous band).
+    Boundary cells are those whose closed-form membership or admissibility
+    differs from any of their 8 neighbors (one-cell ambiguous band).
     """
     c = case(region)
     axis1 = np.asarray(axis1, dtype=float)
@@ -218,6 +228,10 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     n1, n2 = axis1.size, axis2.size
     member = np.zeros((n1, n2), dtype=bool)
     kmin = np.full((n1, n2), np.nan)
+    # kmin is the minimum over a midpoint grid of n_theta angles
+    th = np.linspace(0.0, np.pi, n_theta, endpoint=False) \
+        + 0.5 * np.pi / n_theta
+    cos_t, sin_t = np.cos(th), np.sin(th)
 
     for i, a in enumerate(axis1):
         for j, b in enumerate(axis2):
@@ -226,27 +240,9 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
             except ValueError:
                 continue
             member[i, j] = c.member(params)
-            kmin[i, j] = _grid_kernel_min(
-                kernels.build_kernel(c.name, params), n_theta)
+            kf = kernels.build_kernel(c.name, params)
+            kmin[i, j] = float(np.min(kf(cos_t, sin_t)))
 
-    admissible = np.isfinite(kmin)
-    boundary = np.zeros_like(member)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            shifted = np.roll(np.roll(member, di, 0), dj, 1)
-            adm_sh = np.roll(np.roll(admissible, di, 0), dj, 1)
-            diff = (member != shifted) | (admissible != adm_sh)
-            # roll wraps around; mask the wrapped edges
-            if di == 1:
-                diff[0, :] = False
-            if di == -1:
-                diff[-1, :] = False
-            if dj == 1:
-                diff[:, 0] = False
-            if dj == -1:
-                diff[:, -1] = False
-            boundary |= diff
+    boundary = _boundary(member, np.isfinite(kmin))
     return RegionScan(region=region, axis_names=c.axis_names, axis1=axis1,
                       axis2=axis2, member=member, boundary=boundary, kmin=kmin)

@@ -127,6 +127,26 @@ def test_verify_passes(capsys):
     assert rep["region_mismatches"] == 0
 
 
+@pytest.mark.parametrize("argv", [["--threads", "2", "verify"],
+                                  ["--seed", "3", "--threads=2", "verify"]],
+                         ids=["separate", "joined"])
+def test_unknown_global_option_rejected(capsys, argv):
+    # argparse alone names the option's value as an invalid subcommand
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert "--threads" in json.loads(err)["error"]
+
+
+def test_global_help_and_seed_still_accepted(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["-h"])
+    assert e.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+    code, out, _ = run(["--seed", "3", "validate"] + ISO5, capsys)
+    assert code == 0
+    assert json.loads(out)["elliptic"] is True
+
+
 def test_config_preload_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("case = II\nnu = 0.25\nk1 = 1\nk2 = 2\n")

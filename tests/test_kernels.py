@@ -117,6 +117,58 @@ def test_circle_min_interior_candidate_case3():
     assert v == pytest.approx(dense, abs=1e-6)
 
 
+def test_circle_min_exact_critical_values():
+    # K is taken as it is at the exact critical angles: 0 and pi/2, and the
+    # closed-form interior ones
+    dp = perp_from_parameters(1.0, 0.25, 2.0)
+    kf = kernels.kernel_case1(dp)
+    assert kernels.circle_min(kf, dp) == (0.0, float(kf(1.0, 0.0)))
+    dp = perp_from_parameters(1.0, 0.05, 0.1)     # interior case-II minimum
+    kf = kernels.kernel_case2(dp)
+    (z,) = kernels._zeta_candidates(kf, dp)
+    assert 0.1 < z < 0.5 * np.pi - 0.1
+    assert kernels.circle_min(kf, dp) == (z, float(kf(np.cos(z), np.sin(z))))
+
+
+def test_circle_min_guard_finds_interior_minimum_without_params():
+    dp = perp_from_parameters(1.0, 0.05, 0.1)
+    kf = kernels.kernel_case2(dp)
+    t0, v0 = kernels.circle_min(kf, dp)
+    t1, v1 = kernels.circle_min(kf)
+    assert v1 == pytest.approx(v0, rel=1e-12)
+    assert t1 == pytest.approx(t0, abs=1e-6)
+
+
+_DENSE = np.linspace(0.0, np.pi, 20001, endpoint=False)
+
+
+@given(delta=st.floats(0.01, 3.99), s=st.floats(1e-6, 1.0 - 1e-6),
+       nu_iso=st.floats(-0.999, 0.499))
+@settings(max_examples=100, deadline=None)
+def test_circle_min_brackets_dense_grid(delta, s, nu_iso):
+    lo = 1.0 - 2.0 / delta
+    dp = perp_from_parameters(1.0, lo + s * (0.5 - lo), delta)
+    # case I below nu = -1 has c < 0: P vanishes on the circle, and N/P^3
+    # is rounding noise near that zero
+    lo1 = max(lo, -1.0)
+    dp1 = perp_from_parameters(1.0, lo1 + s * (0.5 - lo1), delta)
+    dpar = derive_parallel(from_isotropic(1.0, nu_iso))
+    for kf, par in ((kernels.kernel_case1(dp1), dp1),
+                    (kernels.kernel_case2(dp), dp),
+                    (kernels.kernel_case3(dpar), dpar)):
+        t, v = kernels.circle_min(kf, par)
+        assert v == float(kf(np.cos(t), np.sin(t)))
+        vals = kf(np.cos(_DENSE), np.sin(_DENSE))
+        i = int(np.argmin(vals))
+        scale = float(np.max(np.abs(vals)))
+        assert v <= vals[i] + 1e-12 * scale
+        # a sharp minimum can fall between two dense angles by more than
+        # 1e-7 max|K|: the lower reference adds a fine grid around the best
+        local = _DENSE[i] + np.linspace(-1.0, 1.0, 2001) * (_DENSE[1] - _DENSE[0])
+        floor = min(vals[i], float(np.min(kf(np.cos(local), np.sin(local)))))
+        assert v >= floor - 1e-7 * scale
+
+
 def test_composite_case1_combination():
     # K = 2 mu delta (sqrt(delta) K1 + nu K2) term-by-term
     k1, k2 = kernels.kernel_case1_parts(DP_ANISO)

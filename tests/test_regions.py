@@ -102,6 +102,28 @@ def test_scan_case3_grid():
         assert np.all(col == col[0])
 
 
+def _boundary_reference(member, admissible):
+    n1, n2 = member.shape
+    out = np.zeros((n1, n2), dtype=bool)
+    for i in range(n1):
+        for j in range(n2):
+            for k in range(max(i - 1, 0), min(i + 2, n1)):
+                for m in range(max(j - 1, 0), min(j + 2, n2)):
+                    out[i, j] |= (member[k, m] != member[i, j]
+                                  or admissible[k, m] != admissible[i, j])
+    return out
+
+
+def test_boundary_matches_8_neighbour_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        shape = tuple(rng.integers(2, 9, size=2))
+        admissible = rng.random(shape) < 0.8
+        member = admissible & (rng.random(shape) < rng.random())
+        assert np.array_equal(regions._boundary(member, admissible),
+                              _boundary_reference(member, admissible))
+
+
 def test_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         regions.scan("I", [0.1], [0.5, 1.0])
