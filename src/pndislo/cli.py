@@ -230,13 +230,13 @@ def _cmd_extend(args):
         fld.tofile(args.out + ".bin", args.out + ".json")
     _emit({"orientation": args.orientation, "interior_residual": res,
            "decay_rate": float(rate), "normal_samples": len(xn),
-           "out": args.out})
+           "out": args.out, "stats": fld.stats})
     return EXIT_OK if res <= 1e-4 else EXIT_NO_CONVERGENCE
 
 
 def _cmd_verify(args):
-    from .moduli import from_isotropic, perp_from_parameters, \
-        perp_to_constants
+    from .moduli import ElasticConstants, from_isotropic, \
+        perp_from_parameters, perp_to_constants
     from . import kernels
     from .nonlocal_ops import GridField2D, apply_kernel_quadrature, \
         apply_multiplier
@@ -300,13 +300,14 @@ def _cmd_verify(args):
     checks["region_mismatches"] = bad
     ok = ok and bad == 0
 
-    # extension identities at a random frequency, isotropic and at
-    # delta = 1 + 1e-6, where the rates r1 and r2 nearly coincide
+    # extension identities at a random frequency on every closed-form branch
     k1, k2 = float(rng.uniform(0.2, 2)), float(rng.uniform(0.2, 2))
     e_ext = 0.0
-    for ec in (from_isotropic(1.0, 0.25),
-               perp_to_constants(perp_from_parameters(1.0, 0.25, 1 + 1e-6))):
-        sys_ = extension.build_halfspace("perp", ec, k1, k2)
+    mats = [("perp", perp_to_constants(perp_from_parameters(1.0, 0.25, d)))
+            for d in (1.0, 1 + 1e-6, 0.3)]
+    for ori, ec in mats + [("parallel", from_isotropic(1.0, 0.25)), (
+            "parallel", ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))]:
+        sys_ = extension.build_halfspace(ori, ec, k1, k2)
         e1 = float(np.max(np.abs(sys_.bplus(0.0) - np.eye(3))))
         e2 = float(np.max(np.abs(sys_.bminus(-1.3)
                                  - np.conj(sys_.bplus(1.3)))))

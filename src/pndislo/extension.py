@@ -1,28 +1,17 @@
 """Elastic extension of slip-plane data into the half-spaces.
 
-Per slip-plane frequency k the displacement amplitude solves a second-order
-3x3 ODE system in the normal coordinate,
-
-    M2 w'' + M1 w' + M0 w = 0,
-
-written in transformed variables that make all three blocks real:
-(u1, i u2, u3) for the slip plane perpendicular to the isotropy plane
-(normal x2), and (u1, u2, i u3) for the parallel orientation (normal x3).
-The 6x6 companion matrix has eigenvalues in +- pairs: {+-r1, +-r2, +-r2}
-(perpendicular, r2 double, r1 = r2 at delta = 1) and +-theta_i |k|
-(parallel, possibly a complex conjugate pair).  The decaying solutions for
-the upper half-space span the invariant subspace of the three eigenvalues
-with negative real part; an ordered real Schur form gives an orthonormal
-basis of it whatever the Jordan structure, and from that the real 3x3
-generator D of the decaying solutions, w' = D w.  The propagator
-
-    u_hat(k, xn) = Bplus(k, xn) u_hat_plus(k),     Bplus(k, 0) = I,
-
-is exp(D xn) in transformed variables, and Bminus for the lower half-space
-comes the same way from the growing-rate subspace.  The normal displacement
-component on the slip plane is not free: continuity of the normal stress
-across the plane fixes it from the two in-plane components
-(`normal_closure`).
+Per slip-plane frequency k the displacement amplitude solves M2 w'' + M1 w'
++ M0 w = 0 in the normal coordinate, in variables w = T u with real 3x3
+blocks: (u1, i u2, u3) for the slip plane perpendicular to the isotropy
+plane (normal x2), (u1, u2, i u3) for the parallel one (normal x3).  The
+companion matrix has eigenvalues {+-r1, +-r2, +-r2} (perp, r1 = r2 at
+delta = 1) or +-theta_i |k| (parallel, maybe a complex pair).  For all
+nonzero frequencies at once, a batched Newton iteration gives the matrix
+sign function S; the range {(w, D w)} of (I -+ S)/2 gives the generator D
+of the decaying (growing) solutions whatever the Jordan structure; and
+exp(D xn), the propagator Bplus (Bminus) in w, is the quadratic in D that
+interpolates e^(lambda xn) at the analytic rates, applied to the boundary
+vectors in closed form.  `normal_closure` gives the normal displacement.
 """
 
 from __future__ import annotations
@@ -32,203 +21,225 @@ from dataclasses import dataclass, field as dfield
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .moduli import ElasticConstants, derive_parallel, derive_perp, validate
+from .moduli import ElasticConstants, derive_parallel, derive_perp
 from .nonlocal_ops import GridField2D
 
 #: slip-plane jump matrices u_minus(0) = J u_plus(0)
 JUMP_PERP = np.diag([-1.0, 1.0, -1.0])
 JUMP_PARALLEL = np.diag([-1.0, -1.0, 1.0])
+#: diagonal of T, physical -> transformed variables w = T u
+_T_DIAG = {"perp": np.array([1.0, 1.0j, 1.0]),
+           "parallel": np.array([1.0, 1.0, 1.0j])}
+#: Newton steps allowed for the matrix sign function before it is an error
+SIGN_ITER_MAX = 40
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
-    """exp of a stack (..., n, n) of matrices: degree-12 Taylor series after
-    scaling by 2^-s (max 1-norm <= 1/4, truncation below eps), then s
-    squarings."""
-    norm = float(np.max(np.sum(np.abs(M), axis=-2), initial=0.0))
-    s = max(0, math.ceil(math.log2(4.0 * norm))) if norm > 0.0 else 0
-    X = M / 2.0 ** s
-    eye = np.eye(M.shape[-1])
-    E = eye
-    for j in range(12, 0, -1):
-        E = eye + (X @ E) / j
-    for _ in range(s):
-        E = E @ E
-    return E
+def _phi2(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1 - z)/z^2 = sum z^n/(n+2)!, by that series for |z| < 1e-2."""
+    zs = np.where(small := np.abs(z) < 1e-2, 1.0, z)
+    series = np.polyval([1.0 / math.factorial(n) for n in range(8, 1, -1)], z)
+    return np.where(small, series, (np.expm1(zs) - zs) / zs ** 2)
+
+
+def _pair(mux: np.ndarray, y: np.ndarray):
+    """e^mux cosh(s), e^mux sinh(s)/s for s = sqrt(y), y real of either sign
+    (series for |y| < 1e-3); via e^(mux +- s), whose Re <= 0: no overflow."""
+    s = np.sqrt(np.where(small := np.abs(y) < 1e-3, 1.0, y) + 0j)
+    ep, e = np.exp(mux + s), np.exp(mux)
+    ser = [e * np.polyval([1.0 / math.factorial(n) for n in range(n0, -1, -2)],
+                          y) for n0 in (8, 9)]
+    return (np.where(small, ser[0], 0.5 * (ep + np.exp(mux - s)).real),
+            np.where(small, ser[1], (-ep * np.expm1(-2.0 * s) / (2 * s)).real))
 
 
 @dataclass
 class HalfSpaceSystem:
-    """Per-frequency half-space ODE, reduced to its two invariant subspaces.
-
-    D_decay (D_grow) is the real 3x3 generator of the decaying (growing)
-    solutions in transformed variables: w' = D w, so the transformed
-    propagator is exp(D xn) and D is its derivative at xn = 0.
-    """
+    """Half-space ODE at one frequency or a stack of them (leading axes of
+    k, eigvals and D): D_decay (D_grow) is the real 3x3 generator of the
+    decaying (growing) solutions in transformed variables, w' = D w."""
 
     orientation: str                      # "perp" | "parallel"
-    k: tuple
-    eigvals: np.ndarray                   # analytic eigenvalues (6, complex)
+    k: tuple                              # (k1, k2)
+    eigvals: np.ndarray                   # analytic rates r, then -r (6)
     D_decay: np.ndarray                   # Re(spectrum) < 0 (upper half)
     D_grow: np.ndarray                    # Re(spectrum) > 0 (lower half)
-    T: np.ndarray = dfield(repr=False, default=None)  # physical -> transformed
 
-    def _physical(self, Bt: np.ndarray) -> np.ndarray:
-        # T^-1 Bt T for the diagonal T
-        t = np.diag(self.T)
-        return Bt * (t / t[:, None])
+    def propagate(self, sign: int, x, w: np.ndarray) -> np.ndarray:
+        """exp(D x) w in transformed variables, in closed form, for D_decay
+        (sign = -1) or D_grow (sign = +1): x of shape (X,), w (..., 3, m)
+        with the frequency axes leading, result (..., X, 3, m)."""
+        D = self.D_decay if sign < 0 else self.D_grow
+        r, x, Dw = self.eigvals[..., :3], np.asarray(x, dtype=float), D @ w
+        if self.orientation == "perp":
+            # nodes sign (r2, r2, r1); N = D - sign r2 I
+            r1, r2 = r[..., 0].real, r[..., 1].real
+            Nw = Dw - sign * r2[..., None, None] * w
+            N2w = D @ Nw - sign * r2[..., None, None] * Nw
+            e = np.exp(sign * r2[..., None] * x)
+            # z > 700 only where e = exp(-r2 |x|) underflows to 0, because
+            # r1 > r2/2 for 0 < delta < 4
+            z = np.minimum(sign * (r1 - r2)[..., None] * x, 700.0)
+            terms = ((e, w), (e * x, Nw), (e * x * x * _phi2(z), N2w))
+        else:
+            # SH node a = sign theta1 |k| on k_perp/|k|, exactly decoupled;
+            # the coupled pair mu +- sqrt(q) is real or complex conjugate
+            a = sign * r[..., 0].real
+            mu = sign * 0.5 * (r[..., 1] + r[..., 2]).real
+            q = 0.25 * ((r[..., 1] - r[..., 2]) ** 2).real
+            eC, eS = _pair(mu[..., None] * x, q[..., None] * x * x)
+            # h(lambda) = eC + x eS (lambda - mu) interpolates the pair
+            h_a = eC + x * eS * (a - mu)[..., None]
+            k1, k2 = self.k
+            sh = np.stack([-k2, k1, 0 * k1], -1) / np.hypot(k1, k2)[..., None]
+            Pw = np.einsum("...i,...j,...jm->...im", sh, sh, w)
+            terms = ((eC, w), (x * eS, Dw - mu[..., None, None] * w),
+                     (np.exp(a[..., None] * x) - h_a, Pw))
+        # coefficients (..., X) times vectors (..., 3, m)
+        return sum(c[..., None, None] * v[..., None, :, :] for c, v in terms)
+
+    def _matrix(self, sign: int, xn) -> np.ndarray:
+        # closed form on the columns of T, then T^-1 on the left
+        x, t = np.asarray(xn, dtype=float), _T_DIAG[self.orientation]
+        B = self.propagate(sign, x.ravel(), np.diag(t)) / t[:, None]
+        return B.reshape(B.shape[:-3] + x.shape + (3, 3))
 
     def bplus(self, xn) -> np.ndarray:
-        """Propagator for the upper half-space (physical variables).
-
-        A scalar xn gives the 3x3 matrix; an array of shape S gives a stack
-        of shape S + (3, 3).
-        """
-        x = np.asarray(xn, dtype=float)[..., None, None]
-        return self._physical(_expm(self.D_decay * x))
+        """Upper half-space propagator (physical variables): 3x3 for a
+        scalar xn, shape S + (3, 3) for an array of shape S."""
+        return self._matrix(-1, xn)
 
     def bminus(self, xn) -> np.ndarray:
-        """Propagator for the lower half-space (physical variables); xn as
-        in `bplus`."""
-        x = np.asarray(xn, dtype=float)[..., None, None]
-        return self._physical(_expm(self.D_grow * x))
+        """Lower half-space propagator; xn as in `bplus`."""
+        return self._matrix(1, xn)
 
     def dbplus0(self) -> np.ndarray:
         """d/dxn of bplus at 0."""
-        return self._physical(self.D_decay)
+        t = _T_DIAG[self.orientation]
+        return self.D_decay * (t / t[:, None])
 
 
-def _blocks_perp(ec: ElasticConstants, k1: float, k3: float):
+def _companion(orientation: str, ec: ElasticConstants, k1, k2):
+    """Companion matrices [[0, I], [-M2^-1 M0, -M2^-1 M1]] at (k1, k2)
+    (k1, k3 for "perp")."""
     c11, c13, c33, c44, c66 = ec.astuple()
-    M2 = np.diag([c66, c11, c44])
-    M1 = np.array([[0.0, (c11 - c66) * k1, 0.0],
-                   [-(c11 - c66) * k1, 0.0, -(c13 + c44) * k3],
-                   [0.0, (c13 + c44) * k3, 0.0]])
-    M0 = np.array([[-(c11 * k1 ** 2 + c44 * k3 ** 2), 0.0,
-                    -(c13 + c44) * k1 * k3],
-                   [0.0, -(c66 * k1 ** 2 + c44 * k3 ** 2), 0.0],
-                   [-(c13 + c44) * k1 * k3, 0.0,
-                    -(c44 * k1 ** 2 + c33 * k3 ** 2)]])
-    return M2, M1, M0
-
-
-def _blocks_parallel(ec: ElasticConstants, k1: float, k2: float):
-    c11, c13, c33, c44, c66 = ec.astuple()
-    M2 = np.diag([c44, c44, c33])
-    M1 = np.array([[0.0, 0.0, (c13 + c44) * k1],
-                   [0.0, 0.0, (c13 + c44) * k2],
-                   [-(c13 + c44) * k1, -(c13 + c44) * k2, 0.0]])
-    M0 = np.array([[-(c11 * k1 ** 2 + c66 * k2 ** 2),
-                    -(c11 - c66) * k1 * k2, 0.0],
-                   [-(c11 - c66) * k1 * k2,
-                    -(c66 * k1 ** 2 + c11 * k2 ** 2), 0.0],
-                   [0.0, 0.0, -c44 * (k1 ** 2 + k2 ** 2)]])
-    return M2, M1, M0
-
-
-def _analytic_rates(orientation: str, ec: ElasticConstants,
-                    k1: float, k2: float) -> np.ndarray:
-    """The three decay rates (positive real part) for the given frequency."""
+    z, s = 0.0 * k1, c13 + c44
     if orientation == "perp":
-        dp = derive_perp(ec)
-        r1 = math.sqrt(k1 ** 2 + k2 ** 2 / dp.delta)
-        r2 = math.hypot(k1, k2)
-        return np.array([r1, r2, r2], dtype=complex)
+        m2 = [c66, c11, c44]
+        M1 = [[z, (c11 - c66) * k1, z], [-(c11 - c66) * k1, z, -s * k2],
+              [z, s * k2, z]]
+        M0 = [[-(c11 * k1 ** 2 + c44 * k2 ** 2), z, -s * k1 * k2],
+              [z, -(c66 * k1 ** 2 + c44 * k2 ** 2), z],
+              [-s * k1 * k2, z, -(c44 * k1 ** 2 + c33 * k2 ** 2)]]
+    else:
+        m2 = [c44, c44, c33]
+        M1 = [[z, z, s * k1], [z, z, s * k2], [-s * k1, -s * k2, z]]
+        M0 = [[-(c11 * k1 ** 2 + c66 * k2 ** 2), -(c11 - c66) * k1 * k2, z],
+              [-(c11 - c66) * k1 * k2, -(c66 * k1 ** 2 + c11 * k2 ** 2), z],
+              [z, z, -c44 * (k1 ** 2 + k2 ** 2)]]
+    low = -np.moveaxis(np.array([a + b for a, b in zip(M0, M1)]), (0, 1),
+                       (-2, -1)) / np.array(m2)[:, None]
+    return np.concatenate([np.broadcast_to(np.eye(3, 6, 3), low.shape), low],
+                          axis=-2)
+
+
+def _analytic_rates(orientation: str, ec: ElasticConstants, k1, k2):
+    """The three decay rates (Re > 0) at frequencies k1, k2: k1.shape + (3,)"""
+    kk = np.hypot(k1, k2)
+    if orientation == "perp":
+        r1 = np.sqrt(k1 ** 2 + k2 ** 2 / derive_perp(ec).delta)
+        return np.stack([r1, kk, kk], axis=-1).astype(complex)
     dpar = derive_parallel(ec)
-    kk = math.hypot(k1, k2)
-    return kk * np.array([dpar.theta1, dpar.theta2, dpar.theta3],
-                         dtype=complex)
+    return np.multiply.outer(kk, [dpar.theta1, dpar.theta2, dpar.theta3])
 
 
 def _symmetric_functions(M: np.ndarray):
-    """Trace, sum of principal 2x2 minors and determinant of a 3x3 matrix:
-    the elementary symmetric functions of its eigenvalues."""
-    minors = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-              + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-              + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-    return np.trace(M), minors, np.linalg.det(M)
+    """Trace, sum of principal 2x2 minors and determinant of a stack of 3x3
+    matrices: the elementary symmetric functions of their eigenvalues."""
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    return (tr, 0.5 * (tr * tr - np.einsum("...ij,...ji->...", M, M)),
+            np.linalg.det(M))
+
+
+def _sign(A: np.ndarray):
+    """Sign function of a stack of real matrices with no eigenvalue on the
+    imaginary axis, and the steps taken: X <- (mu X + (mu X)^-1)/2 with
+    mu = |det X|^(-1/n), until no matrix changes by over 1e-14 relative."""
+    X = A
+    for it in range(1, SIGN_ITER_MAX + 1):
+        Y = X * np.abs(np.linalg.det(X))[..., None, None] ** (-1 / A.shape[-1])
+        Xn = 0.5 * (Y + np.linalg.inv(Y))
+        if np.all(np.linalg.norm(Xn - X, axis=(-2, -1))
+                  <= 1e-14 * np.linalg.norm(Xn, axis=(-2, -1))):
+            return Xn, it
+        X = Xn
+    raise np.linalg.LinAlgError("sign iteration did not converge")
+
+
+def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
+    """HalfSpaceSystem at nonzero frequencies k1, k2 (arrays of one shape)
+    and a record {frequencies, sign_iterations, spectrum_mismatch}.  Raises
+    LinAlgError unless the elementary symmetric functions e_j of every D
+    match those of -+ the analytic rates to 1e-10 |k|^j; spectrum_mismatch
+    is the largest mismatch over |k|^j."""
+    if orientation not in _T_DIAG:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    kk = np.hypot(k1, k2)
+    if not np.all(kk > 0.0):
+        raise ValueError("k = 0 has no decaying extension; handled separately")
+    r = _analytic_rates(orientation, ec, k1, k2)   # validates ec
+    S, iterations = _sign(_companion(orientation, ec, k1, k2))
+    e_rates = _symmetric_functions(r[..., None, :] * np.eye(3))   # of diag(r)
+    D, worst = {}, 0.0
+    for name, sgn in (("decay", -1.0), ("grow", 1.0)):
+        P = 0.5 * (np.eye(6) + sgn * S)
+        P1, PT = P[..., :3, :], np.swapaxes(P, -1, -2)
+        # range {(w, D w)}: P2 = D P1, so D = P2 P1^T (P1 P1^T)^-1
+        D[name] = np.swapaxes(
+            np.linalg.solve(P1 @ PT[..., :3], P1 @ PT[..., 3:]), -1, -2)
+        for j, (num, ana) in enumerate(
+                zip(_symmetric_functions(D[name]), e_rates), start=1):
+            err = np.abs(num - sgn ** j * ana)
+            bad = np.flatnonzero(~(err <= 1e-10 * kk ** j))   # NaN is bad
+            if bad.size:
+                raise np.linalg.LinAlgError(
+                    f"companion spectrum mismatch ({name}, e{j}) at k = "
+                    f"{k1.flat[bad[0]]}, {k2.flat[bad[0]]}")
+            worst = max(worst, float(np.max(err / kk ** j, initial=0.0)))
+    return (HalfSpaceSystem(orientation, (k1, k2), np.concatenate([r, -r], -1),
+                            D["decay"], D["grow"]),
+            {"frequencies": int(kk.size), "sign_iterations": iterations,
+             "spectrum_mismatch": worst})
 
 
 def build_halfspace(orientation: str, ec: ElasticConstants,
                     k1: float, k2: float) -> HalfSpaceSystem:
-    """Assemble the companion system at slip-plane frequency (k1, k2).
-
-    For "perp" the frequency is (k1, k3) and the normal is x2; for
-    "parallel" it is (k1, k2) with normal x3.  Each half-space comes from
-    the ordered real Schur form A Z = Z S of the 6x6 companion matrix: the
-    leading three Schur vectors span the decaying ("lhp") or growing
-    ("rhp") solutions, whose values V = Z[:3, :3] and derivatives
-    Z[3:, :3] = V S give the generator D = V S V^-1.  This basis does not
-    depend on the Jordan structure, so r1 -> r2 (delta -> 1) needs no
-    special case.  Raises for k = 0, and raises LinAlgError unless each
-    leading block has three eigenvalues whose elementary symmetric functions
-    match those of -+ the analytic rates (at 1e-10 |k|^j).
-    """
-    if orientation not in ("perp", "parallel"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    if k1 == 0.0 and k2 == 0.0:
-        raise ValueError("k = 0 has no decaying extension; handled separately")
-    rep = validate(ec)
-    if not rep.valid:
-        raise ValueError(f"elastic constants violate ellipticity: {rep}")
-
-    if orientation == "perp":
-        M2, M1, M0 = _blocks_perp(ec, k1, k2)
-        T = np.diag([1.0, 1.0j, 1.0])
-    else:
-        M2, M1, M0 = _blocks_parallel(ec, k1, k2)
-        T = np.diag([1.0, 1.0, 1.0j])
-    M2inv = np.diag(1.0 / np.diag(M2))
-    A = np.block([[np.zeros((3, 3)), np.eye(3)],
-                  [-M2inv @ M0, -M2inv @ M1]])
-
-    r = _analytic_rates(orientation, ec, k1, k2)
-    e_rates = (r[0] + r[1] + r[2], r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
-               r[0] * r[1] * r[2])
-    scale = math.hypot(k1, k2)
-    D = {}
-    for sort, sgn in (("lhp", -1.0), ("rhp", 1.0)):
-        S, Z, sdim = scipy.linalg.schur(A, output="real", sort=sort)
-        if sdim != 3:
-            raise np.linalg.LinAlgError(
-                f"{sort} Schur block has dimension {sdim}, not 3")
-        # the characteristic polynomial of the block is well conditioned
-        # even where single eigenvalues of a near-Jordan cluster are not
-        e_num = _symmetric_functions(S[:3, :3])
-        for j, (num, ana) in enumerate(zip(e_num, e_rates), start=1):
-            if not abs(num - sgn ** j * ana) <= 1e-10 * scale ** j:
-                raise np.linalg.LinAlgError(
-                    f"companion spectrum mismatch ({sort}, e{j}): {num} "
-                    f"vs {sgn ** j * ana}")
-        D[sort] = Z[3:, :3] @ np.linalg.inv(Z[:3, :3])
-    return HalfSpaceSystem(orientation=orientation, k=(k1, k2),
-                           eigvals=np.concatenate([r, -r]),
-                           D_decay=D["lhp"], D_grow=D["rhp"], T=T)
+    """The half-space system at one slip-plane frequency, (k1, k3) with
+    normal x2 for "perp", (k1, k2) with normal x3 for "parallel": the
+    batched computation of `extend` on one frequency, raising as it does."""
+    return _halfspaces(orientation, ec, np.asarray(k1, dtype=float),
+                       np.asarray(k2, dtype=float))[0]
 
 
-def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants,
-                   u_a: complex, u_b: complex) -> complex:
-    """Normal displacement component on Gamma from the two slip components.
+def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
+    """Normal displacement on Gamma from the slip components (u1, u3)
+    ("perp") or (u1, u2) ("parallel"), at the frequencies of `sys`.
 
     Continuity of the normal stress across the slip plane, combined with the
     mirror symmetry of the two half-space fields, forces the one-sided normal
-    stress to vanish: sigma_nn(0+) = 0.  Solving that linear relation gives
-    u_n^+ in terms of the in-plane components (u1, u3) ("perp") or (u1, u2)
-    ("parallel").
+    stress to vanish: sigma_nn(0+) = 0, a linear relation for u_n^+.
     """
     c11, c13, c33, c44, c66 = ec.astuple()
-    k1, k2 = sys.k
-    D = sys.dbplus0()
+    (k1, k2), D = sys.k, sys.dbplus0()
     if sys.orientation == "perp":
         # sigma_22 = (C11 - 2 C66) eps11 + C11 eps22 + C13 eps33
         rhs = ((c11 - 2.0 * c66) * 1j * k1 * u_a + c13 * 1j * k2 * u_b
-               + c11 * (D[1, 0] * u_a + D[1, 2] * u_b))
-        return -rhs / (c11 * D[1, 1])
+               + c11 * (D[..., 1, 0] * u_a + D[..., 1, 2] * u_b))
+        return -rhs / (c11 * D[..., 1, 1])
     # sigma_33 = C13 (eps11 + eps22) + C33 eps33
     rhs = (c13 * (1j * k1 * u_a + 1j * k2 * u_b)
-           + c33 * (D[2, 0] * u_a + D[2, 1] * u_b))
-    return -rhs / (c33 * D[2, 2])
+           + c33 * (D[..., 2, 0] * u_a + D[..., 2, 1] * u_b))
+    return -rhs / (c33 * D[..., 2, 2])
 
 
 @dataclass
@@ -246,6 +257,7 @@ class Field3D:
     x_normal: np.ndarray
     u: np.ndarray
     ec: ElasticConstants = dfield(repr=False, default=None)
+    stats: dict = dfield(default_factory=dict)     # what `extend` computed
 
     def slip_axes(self):
         n1, n2 = self.u.shape[2], self.u.shape[3]
@@ -282,40 +294,32 @@ def extend(orientation: str, ec: ElasticConstants,
     "parallel".  The normal component follows from `normal_closure`.  The
     lower half-space uses u- = J u+ (slip jump conventions) with the
     growing-rate propagator; the zero frequency extends as a constant.
-    Each frequency's propagators are evaluated over all normal samples of a
-    half-space at once.
+    The field's stats are the record of `_halfspaces`.
     """
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
         raise ValueError("boundary components must share one grid")
     J = JUMP_PERP if orientation == "perp" else JUMP_PARALLEL
-    n1, n2 = boundary_a.shape
     ka, kb = boundary_a.kgrid()
-    ua_hat = np.fft.fft2(boundary_a.values)
-    ub_hat = np.fft.fft2(boundary_b.values)
+    nz = (ka != 0.0) | (kb != 0.0)
+    sys, stats = _halfspaces(orientation, ec, ka[nz], kb[nz])
     x_normal = np.sort(np.asarray(x_normal, dtype=float))
     # sorted: samples [:i0] are below the slip plane, [i0:] above it
     i0 = int(np.searchsorted(x_normal, 0.0))
-    x_minus, x_plus = x_normal[:i0], x_normal[i0:]
 
-    out = np.zeros((3, len(x_normal), n1, n2), dtype=complex)
-    slip_idx = (0, 2) if orientation == "perp" else (0, 1)
-    normal_idx = 1 if orientation == "perp" else 2
-    for i in range(n1):
-        for j in range(n2):
-            k1, k2 = float(ka[i, j]), float(kb[i, j])
-            up = np.zeros(3, dtype=complex)
-            up[slip_idx[0]] = ua_hat[i, j]
-            up[slip_idx[1]] = ub_hat[i, j]
-            if k1 == 0.0 and k2 == 0.0:
-                out[:, i0:, i, j] = up[:, None]
-                out[:, :i0, i, j] = (J @ up)[:, None]
-                continue
-            sys = build_halfspace(orientation, ec, k1, k2)
-            up[normal_idx] = normal_closure(sys, ec, ua_hat[i, j],
-                                            ub_hat[i, j])
-            out[:, i0:, i, j] = (sys.bplus(x_plus) @ up).T
-            out[:, :i0, i, j] = (sys.bminus(x_minus) @ (J @ up)).T
+    ia, ib = (0, 2) if orientation == "perp" else (0, 1)
+    up = np.zeros((3,) + boundary_a.shape, dtype=complex)
+    up[ia] = np.fft.fft2(boundary_a.values)
+    up[ib] = np.fft.fft2(boundary_b.values)
+    up[3 - ia - ib][nz] = normal_closure(sys, ec, up[ia][nz], up[ib][nz])
+    t = _T_DIAG[orientation]
+    out = np.empty((3, x_normal.size) + boundary_a.shape, dtype=complex)
+    for sign, half, u0 in ((-1, slice(i0, None), up),
+                           (1, slice(0, i0), np.diag(J)[:, None, None] * up)):
+        out[:, half] = u0[:, None]
+        w = (t[:, None] * u0[:, nz]).T[..., None]
+        B = sys.propagate(sign, x_normal[half], w)[..., 0] / t
+        out[:, half, nz] = B.transpose(2, 1, 0)
 
     vals = np.fft.ifft2(out, axes=(2, 3))
     imag = np.max(np.abs(vals.imag))
@@ -324,7 +328,8 @@ def extend(orientation: str, ec: ElasticConstants,
         raise ValueError(f"extension is not real (imag/real = "
                          f"{imag / scale:.3e}); boundary data must be real")
     return Field3D(orientation=orientation, L1=boundary_a.L1,
-                   L2=boundary_a.L2, x_normal=x_normal, u=vals.real, ec=ec)
+                   L2=boundary_a.L2, x_normal=x_normal, u=vals.real, ec=ec,
+                   stats=stats)
 
 
 # 8th-order central finite-difference weights on a uniform grid
@@ -360,22 +365,22 @@ def _spectral_slip_derivs(u: np.ndarray, L1: float, L2: float):
             "ab": back(-k1 * k2)}
 
 
-def interior_residual(field: Field3D, margin: int = 4) -> float:
+def interior_residual(field: Field3D) -> float:
     """Max relative residual of the elastostatic system at interior points.
 
     Normal derivatives use 8th-order central differences on the (uniformly
     spaced) normal samples of one half-space; slip-plane derivatives are
     spectral (the data is band-limited on the periodic grid by construction).
-    Points within `margin` layers of the slip plane or the outer edge are
-    excluded.  The residual is normalized by the largest absolute term
-    entering any equation row (per half-space).
+    Points within 4 layers (the stencil's half-width) of the slip plane or
+    the outer edge are excluded.  The residual is normalized by the largest
+    absolute term entering any equation row (per half-space).
     """
     ec = field.ec
     c11, c13, c33, c44, c66 = ec.astuple()
     worst = 0.0
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         xn = field.x_normal[half]
-        if xn.size < 2 * margin + 1 + 8:
+        if xn.size < 17:          # 4 layers per side + a 9-point stencil
             raise ValueError("not enough normal samples for the FD stencil")
         hs = np.diff(xn)
         if np.max(np.abs(hs - hs[0])) > 1e-12 * abs(hs[0]):
@@ -383,7 +388,6 @@ def interior_residual(field: Field3D, margin: int = 4) -> float:
         h = hs[0]
         u = field.u[:, half]                       # (3, nn, n1, n2)
         sl = slice(4, u.shape[1] - 4)
-        dn = np.stack([_fd_normal(u[c], h, 1) for c in range(3)])
         dnn = np.stack([_fd_normal(u[c], h, 2) for c in range(3)])
         d = _spectral_slip_derivs(u, field.L1, field.L2)
 
@@ -413,17 +417,12 @@ def interior_residual(field: Field3D, margin: int = 4) -> float:
                  (c13 + c44) * _fd_normal(d["b"][1], h, 1),
                  c44 * d["aa"][2][sl], c44 * d["bb"][2][sl], c33 * dnn[2]],
             ]
-        # the FD stencil already drops 4 rows per side; trim any extra margin
-        extra = margin - 4
-        trim = slice(extra, -extra) if extra > 0 else slice(None)
         # normalize by the largest term over all equations: a row that is
         # identically zero for the given data must not divide noise by noise
-        scale = max(max(np.max(np.abs(t[trim])) for t in row)
-                    for row in terms)
+        scale = max(max(np.max(np.abs(t)) for t in row) for row in terms)
         scale = max(scale, 1e-300)
         for row in terms:
-            tot = sum(row)[trim]
-            worst = max(worst, float(np.max(np.abs(tot)) / scale))
+            worst = max(worst, float(np.max(np.abs(sum(row))) / scale))
     return worst
 
 
@@ -439,7 +438,6 @@ def stress_strain(field: Field3D):
     ec = field.ec
     c11, c13, c33, c44, c66 = ec.astuple()
     c12 = c11 - 2.0 * c66
-    n_n = field.x_normal.size
     shape = field.u.shape[1:]
     # gradients per physical axis: 0 <-> x1, 1 <-> x2, 2 <-> x3
     grads = np.zeros((3, 3) + shape)   # grads[c, axis] = d u_c / d x_axis

@@ -118,6 +118,16 @@ def test_extend_quick(capsys):
     assert rep["decay_rate"] > 0.0
 
 
+def test_extend_prints_stats(capsys):
+    code, out, _ = run(["extend", "--orientation", "parallel", "--nu",
+                        "0.25", "--n", "8", "--n2", "20"], capsys)
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["frequencies"] == 63
+    assert stats["sign_iterations"] >= 1
+    assert stats["spectrum_mismatch"] <= 1e-10
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(["verify"], capsys)
     assert code == 0

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pndislo import extension
 from pndislo.moduli import (ElasticConstants, from_isotropic,
@@ -247,10 +248,31 @@ def test_field3d_tofile_round_trip(tmp_path):
     assert raw == pytest.approx(fld.u, abs=0.0)
 
 
+def _reference_generators(orientation, ec, k1, k2):
+    """D_decay and D_grow at one frequency from the ordered real Schur forms
+    A Z = Z S of the companion matrix: the leading three Schur vectors span
+    the decaying ("lhp") or growing ("rhp") solutions, D = V S V^-1."""
+    A = extension._companion(orientation, ec, k1, k2)
+    gens = []
+    for sort in ("lhp", "rhp"):
+        _, Z, sdim = scipy.linalg.schur(A, output="real", sort=sort)
+        assert sdim == 3
+        gens.append(Z[3:, :3] @ np.linalg.inv(Z[:3, :3]))
+    return gens
+
+
+def _t_diag(orientation):
+    # physical -> transformed variables, w = T u
+    return np.array([1.0, 1.0j, 1.0]) if orientation == "perp" \
+        else np.array([1.0, 1.0, 1.0j])
+
+
 def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
-    """extend() with one scalar propagator call per frequency and sample."""
+    """extend() one frequency and one sample at a time, with generators from
+    ordered real Schur forms and propagators from scipy.linalg.expm."""
     J = extension.JUMP_PERP if orientation == "perp" \
         else extension.JUMP_PARALLEL
+    t = _t_diag(orientation)
     n1, n2 = boundary_a.shape
     ka, kb = boundary_a.kgrid()
     ua_hat = np.fft.fft2(boundary_a.values)
@@ -269,14 +291,14 @@ def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
                 for n, xn in enumerate(x_normal):
                     out[:, n, i, j] = up if xn >= 0.0 else J @ up
                 continue
-            sys = extension.build_halfspace(orientation, ec, k1, k2)
+            D_decay, D_grow = _reference_generators(orientation, ec, k1, k2)
+            sys = extension.HalfSpaceSystem(orientation, (k1, k2), None,
+                                            D_decay, D_grow)
             up[normal_idx] = extension.normal_closure(sys, ec, ua_hat[i, j],
                                                       ub_hat[i, j])
             for n, xn in enumerate(x_normal):
-                if xn >= 0.0:
-                    out[:, n, i, j] = sys.bplus(xn) @ up
-                else:
-                    out[:, n, i, j] = sys.bminus(xn) @ (J @ up)
+                D, u0 = (D_decay, up) if xn >= 0.0 else (D_grow, J @ up)
+                out[:, n, i, j] = scipy.linalg.expm(D * xn) @ (t * u0) / t
     return np.fft.ifft2(out, axes=(2, 3)).real
 
 
@@ -293,8 +315,12 @@ def _smooth_field(rng, n, L):
     return GridField2D.from_function(L, L, n, n, f)
 
 
-@pytest.mark.parametrize("orientation,ec", [("perp", ISO), ("perp", PERP2),
-                                            ("parallel", ANISO)])
+@pytest.mark.parametrize("orientation,ec", [
+    ("perp", ISO), ("perp", PERP2), ("parallel", ANISO),
+    ("perp", NEAR_DELTA_ONE[0][0]),                     # delta - 1 = 5.4e-4
+    ("parallel", ISO),                                  # triple root
+    ("parallel", ElasticConstants(5.0, 1.0, 2.0, 1.0, 2.5)),  # theta1 = theta2
+])
 @pytest.mark.parametrize("x_normal", [
     [0.7, -1.5, 0.0, 2.2, -0.1, 0.3, -3.0],     # unsorted, both sides
     [1.2, 0.0, 0.45, 3.0],                       # all >= 0
@@ -326,3 +352,56 @@ def test_build_halfspace_rejects_spectrum_mismatch(monkeypatch):
                         lambda *a: rates(*a) * (1.0 + 1e-8))
     with pytest.raises(np.linalg.LinAlgError, match="spectrum mismatch"):
         extension.build_halfspace("perp", PERP2, 0.9, 1.1)
+
+
+# (orientation, material, k1, k2): perp with r1 < r2 and with r1 > r2;
+# parallel with a real theta pair (theta1 = theta2), a complex pair and a
+# triple root
+SWITCH_MATERIALS = [
+    ("perp", PERP2, 0.9, 1.1),
+    ("perp", perp_to_constants(perp_from_parameters(1.0, 0.25, 0.3)),
+     1.2, -0.7),
+    ("parallel", ElasticConstants(5.0, 1.0, 2.0, 1.0, 2.5), 1.3, 0.4),
+    ("parallel", ANISO, 1.3, 0.4),
+    ("parallel", ISO, 0.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("orientation,ec,k1,k2", SWITCH_MATERIALS)
+def test_closed_form_matches_expm(orientation, ec, k1, k2):
+    # the closed forms switch to a series below |(r2 - r1) x| = 1e-2 (perp)
+    # and |q x^2| = 1e-3 (parallel); sample x on both sides of each switch
+    sys = extension.build_halfspace(orientation, ec, k1, k2)
+    r = sys.eigvals[:3]
+    if orientation == "perp":
+        x_switch = 1e-2 / abs(r[1] - r[0])
+    else:
+        q = abs(((r[1] - r[2]) ** 2).real) / 4
+        x_switch = np.sqrt(1e-3 / q) if q > 0 else 1.0
+    xs = np.concatenate([x_switch * np.array([0.3, 0.99, 1.01, 3.0]),
+                         [0.05, 0.7, 2.5]])
+    t = _t_diag(orientation)
+    for x in xs:
+        for B, D, xn in ((sys.bplus, sys.D_decay, x),
+                         (sys.bminus, sys.D_grow, -x)):
+            ref = scipy.linalg.expm(D * xn) * (t / t[:, None])
+            assert np.max(np.abs(B(xn) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_sign_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(extension, "SIGN_ITER_MAX", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        extension.build_halfspace("perp", PERP2, 0.9, 1.1)
+    rng = np.random.default_rng(5)
+    ua, ub = _smooth_field(rng, 8, 2 * np.pi), _smooth_field(rng, 8, 2 * np.pi)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        extension.extend("parallel", ANISO, ua, ub, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
+                                            ("parallel", ANISO)])
+def test_extend_reports_stats(orientation, ec):
+    fld = _single_mode_field(orientation=orientation, ec=ec, n=16, x_max=1.0)
+    assert fld.stats["frequencies"] == 16 * 16 - 1
+    assert 1 <= fld.stats["sign_iterations"] <= extension.SIGN_ITER_MAX
+    assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
