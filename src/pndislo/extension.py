@@ -1,17 +1,21 @@
 """Elastic extension of slip-plane data into the half-spaces.
 
-Per slip-plane frequency k the displacement amplitude solves M2 w'' + M1 w'
-+ M0 w = 0 in the normal coordinate, in variables w = T u with real 3x3
-blocks: (u1, i u2, u3) for the slip plane perpendicular to the isotropy
-plane (normal x2), (u1, u2, i u3) for the parallel one (normal x3).  The
-companion matrix has eigenvalues {+-r1, +-r2, +-r2} (perp, r1 = r2 at
-delta = 1) or +-theta_i |k| (parallel, maybe a complex pair).  For all
-nonzero frequencies at once, a batched Newton iteration gives the matrix
-sign function S; the range {(w, D w)} of (I -+ S)/2 gives the generator D
-of the decaying (growing) solutions whatever the Jordan structure; and
-exp(D xn), the propagator Bplus (Bminus) in w, is the quadratic in D that
-interpolates e^(lambda xn) at the analytic rates, applied to the boundary
-vectors in closed form.  `normal_closure` gives the normal displacement.
+One operator, div C grad u = 0, for the stiffness tensor C_ijkl of
+`moduli.stiffness` (x3 the symmetry axis), serves both slip planes; they
+differ only in the normal axis n of `NORMAL_AXIS`: x2 for "perp" (slip axes
+x1, x3), x3 for "parallel" (slip axes x1, x2).  The companion matrices, the
+normal closure, the interior residual and the stress all come from C_ijkl
+and n.  Per slip-plane frequency k the displacement amplitude solves
+M2 w'' + M1 w' + M0 w = 0 in the normal coordinate, in the real variables
+w = T u, T = diag(i on n, 1 on the slip axes).  The companion matrix has
+eigenvalues {+-r1, +-r2, +-r2} (perp, r1 = r2 at delta = 1) or
++-theta_i |k| (parallel, maybe a complex pair).  For all nonzero
+frequencies at once, a batched Newton iteration gives the matrix sign
+function S; the range {(w, D w)} of (I -+ S)/2 gives the generator D of the
+decaying (growing) solutions whatever the Jordan structure; and exp(D xn),
+the propagator Bplus (Bminus) in w, is the quadratic in D that interpolates
+e^(lambda xn) at the analytic rates, applied to the boundary vectors in
+closed form.  `normal_closure` gives the normal displacement.
 """
 
 from __future__ import annotations
@@ -22,17 +26,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .moduli import ElasticConstants, derive_parallel, derive_perp
+from .moduli import ElasticConstants, derive_parallel, derive_perp, stiffness
 from .nonlocal_ops import GridField2D
 
-#: slip-plane jump matrices u_minus(0) = J u_plus(0)
-JUMP_PERP = np.diag([-1.0, 1.0, -1.0])
-JUMP_PARALLEL = np.diag([-1.0, -1.0, 1.0])
-#: diagonal of T, physical -> transformed variables w = T u
-_T_DIAG = {"perp": np.array([1.0, 1.0j, 1.0]),
-           "parallel": np.array([1.0, 1.0, 1.0j])}
+#: axis normal to the slip plane; x3 is the symmetry axis
+NORMAL_AXIS = {"perp": 1, "parallel": 2}
 #: Newton steps allowed for the matrix sign function before it is an error
 SIGN_ITER_MAX = 40
+
+
+def _axes(orientation: str):
+    """Normal axis n, the slip axes (the other two, in order) and the
+    diagonal of T, physical -> transformed variables w = T u."""
+    if orientation not in NORMAL_AXIS:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    n = NORMAL_AXIS[orientation]
+    return n, tuple(a for a in range(3) if a != n), \
+        np.where(np.arange(3) == n, 1j, 1.0)
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
@@ -100,7 +110,7 @@ class HalfSpaceSystem:
 
     def _matrix(self, sign: int, xn) -> np.ndarray:
         # closed form on the columns of T, then T^-1 on the left
-        x, t = np.asarray(xn, dtype=float), _T_DIAG[self.orientation]
+        x, t = np.asarray(xn, dtype=float), _axes(self.orientation)[2]
         B = self.propagate(sign, x.ravel(), np.diag(t)) / t[:, None]
         return B.reshape(B.shape[:-3] + x.shape + (3, 3))
 
@@ -115,30 +125,25 @@ class HalfSpaceSystem:
 
     def dbplus0(self) -> np.ndarray:
         """d/dxn of bplus at 0."""
-        t = _T_DIAG[self.orientation]
+        t = _axes(self.orientation)[2]
         return self.D_decay * (t / t[:, None])
 
 
 def _companion(orientation: str, ec: ElasticConstants, k1, k2):
-    """Companion matrices [[0, I], [-M2^-1 M0, -M2^-1 M1]] at (k1, k2)
-    (k1, k3 for "perp")."""
-    c11, c13, c33, c44, c66 = ec.astuple()
-    z, s = 0.0 * k1, c13 + c44
-    if orientation == "perp":
-        m2 = [c66, c11, c44]
-        M1 = [[z, (c11 - c66) * k1, z], [-(c11 - c66) * k1, z, -s * k2],
-              [z, s * k2, z]]
-        M0 = [[-(c11 * k1 ** 2 + c44 * k2 ** 2), z, -s * k1 * k2],
-              [z, -(c66 * k1 ** 2 + c44 * k2 ** 2), z],
-              [-s * k1 * k2, z, -(c44 * k1 ** 2 + c33 * k2 ** 2)]]
-    else:
-        m2 = [c44, c44, c33]
-        M1 = [[z, z, s * k1], [z, z, s * k2], [-s * k1, -s * k2, z]]
-        M0 = [[-(c11 * k1 ** 2 + c66 * k2 ** 2), -(c11 - c66) * k1 * k2, z],
-              [-(c11 - c66) * k1 * k2, -(c66 * k1 ** 2 + c11 * k2 ** 2), z],
-              [z, z, -c44 * (k1 ** 2 + k2 ** 2)]]
-    low = -np.moveaxis(np.array([a + b for a, b in zip(M0, M1)]), (0, 1),
-                       (-2, -1)) / np.array(m2)[:, None]
+    """Companion matrices [[0, I], [-M2^-1 M0, -M2^-1 M1]] at (k1, k2) on
+    the slip axes.  C_ijkl vanishes unless every axis occurs an even number
+    of times, so M2 = C_inkn is diagonal, and M1 = i (C_inks + C_iskn) k_s
+    couples u_n only to the slip components: in w its i becomes -1 on row n
+    and +1 on column n.  M0 = -C_iskt k_s k_t."""
+    n, slip, _ = _axes(orientation)
+    C, k = stiffness(ec), np.stack([k1, k2], -1)
+    Cs = C[:, slip][..., slip]                      # (i, s, k, t)
+    M0 = -np.tensordot(k[..., :, None] * k[..., None, :],
+                       Cs.transpose(1, 3, 0, 2), 2)
+    G = C[:, n][..., slip] + C[:, slip][..., n].transpose(0, 2, 1)
+    M1 = np.tensordot(k, G.transpose(2, 0, 1), 1) \
+        * np.where(np.arange(3) == n, -1.0, 1.0)[:, None]
+    low = -np.concatenate([M0, M1], -1) / np.diagonal(C[:, n, :, n])[:, None]
     return np.concatenate([np.broadcast_to(np.eye(3, 6, 3), low.shape), low],
                           axis=-2)
 
@@ -182,8 +187,6 @@ def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
     LinAlgError unless the elementary symmetric functions e_j of every D
     match those of -+ the analytic rates to 1e-10 |k|^j; spectrum_mismatch
     is the largest mismatch over |k|^j."""
-    if orientation not in _T_DIAG:
-        raise ValueError(f"unknown orientation {orientation!r}")
     kk = np.hypot(k1, k2)
     if not np.all(kk > 0.0):
         raise ValueError("k = 0 has no decaying extension; handled separately")
@@ -227,19 +230,14 @@ def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
 
     Continuity of the normal stress across the slip plane, combined with the
     mirror symmetry of the two half-space fields, forces the one-sided normal
-    stress to vanish: sigma_nn(0+) = 0, a linear relation for u_n^+.
+    stress to vanish: sigma_nn(0+) = C_nnkl d_l u_k = 0, with d_n = dbplus0()
+    and d_s = i k_s, a linear relation for u_n^+.
     """
-    c11, c13, c33, c44, c66 = ec.astuple()
-    (k1, k2), D = sys.k, sys.dbplus0()
-    if sys.orientation == "perp":
-        # sigma_22 = (C11 - 2 C66) eps11 + C11 eps22 + C13 eps33
-        rhs = ((c11 - 2.0 * c66) * 1j * k1 * u_a + c13 * 1j * k2 * u_b
-               + c11 * (D[..., 1, 0] * u_a + D[..., 1, 2] * u_b))
-        return -rhs / (c11 * D[..., 1, 1])
-    # sigma_33 = C13 (eps11 + eps22) + C33 eps33
-    rhs = (c13 * (1j * k1 * u_a + 1j * k2 * u_b)
-           + c33 * (D[..., 2, 0] * u_a + D[..., 2, 1] * u_b))
-    return -rhs / (c33 * D[..., 2, 2])
+    n, (sa, sb), _ = _axes(sys.orientation)
+    C = stiffness(ec)[n, n]
+    # sigma_nn = row . u
+    row = C[:, n] @ sys.dbplus0() + 1j * np.stack(sys.k, -1) @ C[:, [sa, sb]].T
+    return -(row[..., sa] * u_a + row[..., sb] * u_b) / row[..., n]
 
 
 @dataclass
@@ -299,7 +297,8 @@ def extend(orientation: str, ec: ElasticConstants,
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
         raise ValueError("boundary components must share one grid")
-    J = JUMP_PERP if orientation == "perp" else JUMP_PARALLEL
+    n, (sa, sb), t = _axes(orientation)
+    J = np.where(np.arange(3) == n, 1.0, -1.0)
     ka, kb = boundary_a.kgrid()
     nz = (ka != 0.0) | (kb != 0.0)
     sys, stats = _halfspaces(orientation, ec, ka[nz], kb[nz])
@@ -307,15 +306,13 @@ def extend(orientation: str, ec: ElasticConstants,
     # sorted: samples [:i0] are below the slip plane, [i0:] above it
     i0 = int(np.searchsorted(x_normal, 0.0))
 
-    ia, ib = (0, 2) if orientation == "perp" else (0, 1)
     up = np.zeros((3,) + boundary_a.shape, dtype=complex)
-    up[ia] = np.fft.fft2(boundary_a.values)
-    up[ib] = np.fft.fft2(boundary_b.values)
-    up[3 - ia - ib][nz] = normal_closure(sys, ec, up[ia][nz], up[ib][nz])
-    t = _T_DIAG[orientation]
+    up[sa] = np.fft.fft2(boundary_a.values)
+    up[sb] = np.fft.fft2(boundary_b.values)
+    up[n][nz] = normal_closure(sys, ec, up[sa][nz], up[sb][nz])
     out = np.empty((3, x_normal.size) + boundary_a.shape, dtype=complex)
     for sign, half, u0 in ((-1, slice(i0, None), up),
-                           (1, slice(0, i0), np.diag(J)[:, None, None] * up)):
+                           (1, slice(0, i0), J[:, None, None] * up)):
         out[:, half] = u0[:, None]
         w = (t[:, None] * u0[:, nz]).T[..., None]
         B = sys.propagate(sign, x_normal[half], w)[..., 0] / t
@@ -349,25 +346,11 @@ def _fd_normal(f: np.ndarray, h: float, order_d: int) -> np.ndarray:
     return out
 
 
-def _spectral_slip_derivs(u: np.ndarray, L1: float, L2: float):
-    """First and second in-plane derivatives of (n_normal, n1, n2) samples of
-    band-limited periodic data, by FFT (exact on the grid)."""
-    n1, n2 = u.shape[-2], u.shape[-1]
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n1, d=L1 / n1)[:, None]
-    k2 = 2.0 * np.pi * np.fft.fftfreq(n2, d=L2 / n2)[None, :]
-    uh = np.fft.fft2(u, axes=(-2, -1))
-
-    def back(m):
-        return np.fft.ifft2(m * uh, axes=(-2, -1)).real
-
-    return {"a": back(1j * k1), "b": back(1j * k2),
-            "aa": back(-k1 ** 2), "bb": back(-k2 ** 2),
-            "ab": back(-k1 * k2)}
-
-
 def interior_residual(field: Field3D) -> float:
     """Max relative residual of the elastostatic system at interior points.
 
+    Row i is the sum over components k and axis pairs j <= l of
+    (C_ijkl + [j != l] C_ilkj) d_j d_l u_k, nonzero coefficients only.
     Normal derivatives use 8th-order central differences on the (uniformly
     spaced) normal samples of one half-space; slip-plane derivatives are
     spectral (the data is band-limited on the periodic grid by construction).
@@ -375,8 +358,18 @@ def interior_residual(field: Field3D) -> float:
     the outer edge are excluded.  The residual is normalized by the largest
     absolute term entering any equation row (per half-space).
     """
-    ec = field.ec
-    c11, c13, c33, c44, c66 = ec.astuple()
+    n, slip, _ = _axes(field.orientation)
+    C = stiffness(field.ec)
+    terms = [(i, k, j, l, C[i, j, k, l] + (j != l) * C[i, l, k, j])
+             for i in range(3) for k in range(3)
+             for j in range(3) for l in range(j, 3)]
+    terms = [tm for tm in terms if tm[4] != 0.0]
+    n1, n2 = field.u.shape[2:]
+    # spectral factor of d_j: i k on a slip axis, 1 on the normal (by FD)
+    ik = dict(zip(slip, (
+        2j * np.pi * np.fft.fftfreq(n1, d=field.L1 / n1)[:, None],
+        2j * np.pi * np.fft.fftfreq(n2, d=field.L2 / n2)[None, :])))
+    ik[n] = 1.0
     worst = 0.0
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         xn = field.x_normal[half]
@@ -387,41 +380,21 @@ def interior_residual(field: Field3D) -> float:
             raise ValueError("normal samples must be uniformly spaced")
         h = hs[0]
         u = field.u[:, half]                       # (3, nn, n1, n2)
-        sl = slice(4, u.shape[1] - 4)
-        dnn = np.stack([_fd_normal(u[c], h, 2) for c in range(3)])
-        d = _spectral_slip_derivs(u, field.L1, field.L2)
-
-        if field.orientation == "perp":
-            # slip axes (x1, x3), normal x2:  a = d/dx1, b = d/dx3
-            terms = [
-                [c11 * d["aa"][0][sl], c66 * dnn[0], c44 * d["bb"][0][sl],
-                 (c11 - c66) * _fd_normal(d["a"][1], h, 1),
-                 (c13 + c44) * d["ab"][2][sl]],
-                [(c11 - c66) * _fd_normal(d["a"][0], h, 1),
-                 c66 * d["aa"][1][sl], c11 * dnn[1], c44 * d["bb"][1][sl],
-                 (c13 + c44) * _fd_normal(d["b"][2], h, 1)],
-                [(c13 + c44) * d["ab"][0][sl],
-                 (c13 + c44) * _fd_normal(d["b"][1], h, 1),
-                 c44 * d["aa"][2][sl], c44 * dnn[2], c33 * d["bb"][2][sl]],
-            ]
-        else:
-            # slip axes (x1, x2), normal x3
-            terms = [
-                [c11 * d["aa"][0][sl], c66 * d["bb"][0][sl], c44 * dnn[0],
-                 (c11 - c66) * d["ab"][1][sl],
-                 (c13 + c44) * _fd_normal(d["a"][2], h, 1)],
-                [(c11 - c66) * d["ab"][0][sl], c66 * d["aa"][1][sl],
-                 c11 * d["bb"][1][sl], c44 * dnn[1],
-                 (c13 + c44) * _fd_normal(d["b"][2], h, 1)],
-                [(c13 + c44) * _fd_normal(d["a"][0], h, 1),
-                 (c13 + c44) * _fd_normal(d["b"][1], h, 1),
-                 c44 * d["aa"][2][sl], c44 * d["bb"][2][sl], c33 * dnn[2]],
-            ]
+        uh = np.fft.fft2(u, axes=(-2, -1))
+        rows = [[], [], []]
+        for i, k, j, l, c in terms:
+            on_n = (j == n) + (l == n)
+            if on_n == 2:
+                d = _fd_normal(u[k], h, 2)
+            else:
+                d = np.fft.ifft2(ik[j] * ik[l] * uh[k], axes=(-2, -1)).real
+                d = _fd_normal(d, h, 1) if on_n else d[4:-4]
+            rows[i].append(c * d)
         # normalize by the largest term over all equations: a row that is
         # identically zero for the given data must not divide noise by noise
-        scale = max(max(np.max(np.abs(t)) for t in row) for row in terms)
+        scale = max(max(np.max(np.abs(t)) for t in row) for row in rows)
         scale = max(scale, 1e-300)
-        for row in terms:
+        for row in rows:
             worst = max(worst, float(np.max(np.abs(sum(row))) / scale))
     return worst
 
@@ -430,42 +403,23 @@ def stress_strain(field: Field3D):
     """Strain and stress grids plus the elastic energy density.
 
     Strains use centered differences (numpy.gradient: one-sided at the slip
-    plane and the outer faces, applied per half-space); stresses follow the
-    transversely isotropic constitutive table with x3 the symmetry axis.
+    plane and the outer faces, applied per half-space; a half-space with a
+    single normal sample is a ValueError); stress = C : strain.
     Returns (strain, stress, density) with tensor index layout
     [i, j, normal, slip1, slip2].
     """
-    ec = field.ec
-    c11, c13, c33, c44, c66 = ec.astuple()
-    c12 = c11 - 2.0 * c66
-    shape = field.u.shape[1:]
-    # gradients per physical axis: 0 <-> x1, 1 <-> x2, 2 <-> x3
-    grads = np.zeros((3, 3) + shape)   # grads[c, axis] = d u_c / d x_axis
-    a1, a2 = field.slip_axes()
-    if field.orientation == "perp":
-        axis_of = {0: a1, 2: a2}       # slip axes carry x1, x3; normal is x2
-        slip_axis_idx = {0: 1, 2: 2}
-        normal_axis = 1
-    else:
-        axis_of = {0: a1, 1: a2}
-        slip_axis_idx = {0: 1, 1: 2}
-        normal_axis = 2
-    for c in range(3):
-        for ax, coord in axis_of.items():
-            grads[c, ax] = np.gradient(field.u[c], coord,
-                                       axis=slip_axis_idx[ax])
-        for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
-            if np.count_nonzero(half) >= 2:
-                grads[c, normal_axis][half] = np.gradient(
-                    field.u[c][half], field.x_normal[half], axis=0)
+    n, slip, _ = _axes(field.orientation)
+    grads = np.zeros((3, 3) + field.u.shape[1:])   # d u_k / d x_l at [k, l]
+    for a, (s, coord) in enumerate(zip(slip, field.slip_axes())):
+        grads[:, s] = np.gradient(field.u, coord, axis=2 + a)
+    for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
+        if np.count_nonzero(half) == 1:
+            raise ValueError("a half-space with one normal sample has no "
+                             "normal derivative")
+        if half.any():
+            grads[:, n][:, half] = np.gradient(
+                field.u[:, half], field.x_normal[half], axis=1)
     strain = 0.5 * (grads + np.transpose(grads, (1, 0, 2, 3, 4)))
-    e11, e22, e33 = strain[0, 0], strain[1, 1], strain[2, 2]
-    stress = np.zeros_like(strain)
-    stress[0, 0] = c11 * e11 + c12 * e22 + c13 * e33
-    stress[1, 1] = c12 * e11 + c11 * e22 + c13 * e33
-    stress[2, 2] = c13 * (e11 + e22) + c33 * e33
-    stress[0, 1] = stress[1, 0] = 2.0 * c66 * strain[0, 1]
-    stress[0, 2] = stress[2, 0] = 2.0 * c44 * strain[0, 2]
-    stress[1, 2] = stress[2, 1] = 2.0 * c44 * strain[1, 2]
+    stress = np.tensordot(stiffness(field.ec), strain, 2)
     density = 0.5 * np.einsum("ij...,ij...->...", stress, strain)
     return strain, stress, density

@@ -11,12 +11,16 @@ Two families of derived parameters are computed here:
   algebraic condition  sqrt(C11 C33) - C13 - 2 C44 = 0  and  C11 = C33  holds;
 * the "parallel" set (tau, tau_tilde, theta1..3, eta1, eta2), defined for
   any valid constants.
+
+`stiffness` gives the full tensor C_ijkl, with x3 the symmetry axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Global relative tolerance for exact-identity checks on double precision.
 TOL_REL = 1e-12
@@ -104,6 +108,19 @@ def validate(ec: ElasticConstants) -> ValidationReport:
         c13_bound=c13 * c13 < c33 * (c11 - c66),
         c44_positive=c44 > 0.0,
     )
+
+
+def stiffness(ec: ElasticConstants) -> np.ndarray:
+    """The stiffness tensor C_ijkl, shape (3, 3, 3, 3), x3 the symmetry axis:
+    the Voigt table with C12 = C11 - 2 C66, C44 = C55, indexed by
+    ij -> [[0, 5, 4], [5, 1, 3], [4, 3, 2]]."""
+    c11, c13, c33, c44, c66 = ec.astuple()
+    c12 = c11 - 2.0 * c66
+    voigt = np.zeros((6, 6))
+    voigt[:3, :3] = [[c11, c12, c13], [c12, c11, c13], [c13, c13, c33]]
+    voigt[3:, 3:] = np.diag([c44, c44, c66])
+    v = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+    return voigt[v[:, :, None, None], v]
 
 
 def from_isotropic(mu: float, nu: float) -> ElasticConstants:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pndislo import extension
-from pndislo.moduli import (ElasticConstants, from_isotropic,
-                            perp_from_parameters, perp_to_constants)
+from pndislo import extension, symbols
+from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
+                            from_isotropic, perp_from_parameters,
+                            perp_to_constants, stiffness)
 from pndislo.nonlocal_ops import GridField2D
 
 ISO = from_isotropic(1.0, 0.25)
@@ -208,6 +209,21 @@ def test_stress_strain_uniaxial_oracle():
     assert density[mid] == pytest.approx(0.5 * c11 * s * s, rel=1e-10)
 
 
+def test_stress_strain_rejects_single_normal_sample():
+    # one sample below the slip plane has no normal derivative; u2 = s x2
+    # has strain22 = s there, not 0
+    s, xn = 1e-3, np.array([-0.1, 0.0, 0.1, 0.2])
+    u = np.zeros((3, xn.size, 8, 8))
+    u[1] = s * xn[:, None, None]
+    fld = extension.Field3D("perp", 1.0, 1.0, xn, u, ec=ISO)
+    with pytest.raises(ValueError, match="one normal sample"):
+        extension.stress_strain(fld)
+    # no sample below the slip plane is allowed
+    fld = extension.Field3D("perp", 1.0, 1.0, xn[1:], u[:, 1:], ec=ISO)
+    strain, _, _ = extension.stress_strain(fld)
+    assert strain[1, 1] == pytest.approx(s * np.ones((3, 8, 8)), rel=1e-12)
+
+
 def test_stress_strain_rigid_translation_is_stress_free():
     u = np.ones((3, 11, 16, 16)) * np.array([0.3, -1.0, 2.0])[:, None,
                                                               None, None]
@@ -248,11 +264,49 @@ def test_field3d_tofile_round_trip(tmp_path):
     assert raw == pytest.approx(fld.u, abs=0.0)
 
 
+def _reference_companion(orientation, ec, k1, k2):
+    """Companion matrices [[0, I], [-M2^-1 M0, -M2^-1 M1]] written out by
+    hand in w = T u: (k1, k3) on the slip axes x1, x3 with normal x2
+    ("perp"), (k1, k2) with normal x3 ("parallel")."""
+    c11, c13, c33, c44, c66 = ec.astuple()
+    z, s = 0.0 * k1, c13 + c44
+    if orientation == "perp":
+        m2 = [c66, c11, c44]
+        M1 = [[z, (c11 - c66) * k1, z], [-(c11 - c66) * k1, z, -s * k2],
+              [z, s * k2, z]]
+        M0 = [[-(c11 * k1 ** 2 + c44 * k2 ** 2), z, -s * k1 * k2],
+              [z, -(c66 * k1 ** 2 + c44 * k2 ** 2), z],
+              [-s * k1 * k2, z, -(c44 * k1 ** 2 + c33 * k2 ** 2)]]
+    else:
+        m2 = [c44, c44, c33]
+        M1 = [[z, z, s * k1], [z, z, s * k2], [-s * k1, -s * k2, z]]
+        M0 = [[-(c11 * k1 ** 2 + c66 * k2 ** 2), -(c11 - c66) * k1 * k2, z],
+              [-(c11 - c66) * k1 * k2, -(c66 * k1 ** 2 + c11 * k2 ** 2), z],
+              [z, z, -c44 * (k1 ** 2 + k2 ** 2)]]
+    low = -np.moveaxis(np.array([a + b for a, b in zip(M0, M1)]), (0, 1),
+                       (-2, -1)) / np.array(m2)[:, None]
+    return np.concatenate([np.broadcast_to(np.eye(3, 6, 3), low.shape), low],
+                          axis=-2)
+
+
+@pytest.mark.parametrize("orientation,ec", [
+    ("perp", ISO), ("parallel", ISO), ("perp", PERP2), ("parallel", ANISO),
+    ("parallel", ElasticConstants(2.0, 0.5, 4.0, 1.5, 0.5)),   # complex theta
+])
+def test_companion_matches_hand_written_table(orientation, ec):
+    k1, k2 = np.meshgrid([-2.5, -0.3, 0.0, 0.7, 4.0], [-1.1, 0.0, 0.4, 3.0])
+    A = extension._companion(orientation, ec, k1, k2)
+    ref = _reference_companion(orientation, ec, k1, k2)
+    assert A.shape == ref.shape == k1.shape + (6, 6)
+    assert np.all(np.max(np.abs(A - ref), axis=(-2, -1))
+                  <= 1e-15 * np.max(np.abs(ref), axis=(-2, -1)))
+
+
 def _reference_generators(orientation, ec, k1, k2):
     """D_decay and D_grow at one frequency from the ordered real Schur forms
     A Z = Z S of the companion matrix: the leading three Schur vectors span
     the decaying ("lhp") or growing ("rhp") solutions, D = V S V^-1."""
-    A = extension._companion(orientation, ec, k1, k2)
+    A = _reference_companion(orientation, ec, k1, k2)
     gens = []
     for sort in ("lhp", "rhp"):
         _, Z, sdim = scipy.linalg.schur(A, output="real", sort=sort)
@@ -267,11 +321,16 @@ def _t_diag(orientation):
         else np.array([1.0, 1.0, 1.0j])
 
 
+def _jump(orientation):
+    # slip-plane jump u_minus(0) = J u_plus(0): +1 on the normal axis
+    return np.diag([-1.0, 1.0, -1.0]) if orientation == "perp" \
+        else np.diag([-1.0, -1.0, 1.0])
+
+
 def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
     """extend() one frequency and one sample at a time, with generators from
     ordered real Schur forms and propagators from scipy.linalg.expm."""
-    J = extension.JUMP_PERP if orientation == "perp" \
-        else extension.JUMP_PARALLEL
+    J = _jump(orientation)
     t = _t_diag(orientation)
     n1, n2 = boundary_a.shape
     ka, kb = boundary_a.kgrid()
@@ -405,3 +464,27 @@ def test_extend_reports_stats(orientation, ec):
     assert fld.stats["frequencies"] == 16 * 16 - 1
     assert 1 <= fld.stats["sign_iterations"] <= extension.SIGN_ITER_MAX
     assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
+
+
+@pytest.mark.parametrize("orientation", ["perp", "parallel"])
+@pytest.mark.parametrize("mu,nu", [(1.0, 0.25), (1.3, -0.2), (0.7, 0.45)])
+def test_traction_map_matches_dtn_isotropic(orientation, mu, nu):
+    # -2 sigma_sn(0+) for unit slip data, with u_n from normal_closure and
+    # d_n = dbplus0(), is the DtN matrix of `symbols` for isotropic media
+    ec = from_isotropic(mu, nu)
+    C = stiffness(ec)
+    n, slip = (1, [0, 2]) if orientation == "perp" else (2, [0, 1])
+    for k in [(0.6, 0.8), (1.3, -0.4), (0.0, 2.0), (-3.0, 0.5)]:
+        sys = extension.build_halfspace(orientation, ec, *k)
+        A = np.zeros((2, 2), dtype=complex)
+        for col, s in enumerate(slip):
+            u = np.zeros(3, dtype=complex)
+            u[s] = 1.0
+            u[n] = extension.normal_closure(sys, ec, u[slip[0]], u[slip[1]])
+            grad = np.zeros((3, 3), dtype=complex)      # d_l u_k at [k, l]
+            grad[:, n] = sys.dbplus0() @ u
+            grad[:, slip] = 1j * np.outer(u, k)
+            A[:, col] = -2.0 * np.tensordot(C, grad, 2)[slip, n]
+        dtn = (symbols.dtn_perp(derive_perp(ec), *k) if orientation == "perp"
+               else symbols.dtn_parallel(derive_parallel(ec), *k)).as_array()
+        assert np.max(np.abs(A - dtn)) <= 1e-13 * np.max(np.abs(dtn))

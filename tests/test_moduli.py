@@ -135,3 +135,20 @@ def test_derive_parallel_isotropic_oracle(mu, nu):
 def test_derive_parallel_rejects_invalid():
     with pytest.raises(ValueError):
         moduli.derive_parallel(moduli.ElasticConstants(3, 5, 3, 1, 1))
+
+
+def test_stiffness_symmetries_and_voigt_entries():
+    ec = moduli.ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8)
+    c11, c13, c33, c44, c66 = ec.astuple()
+    C = moduli.stiffness(ec)
+    assert C.shape == (3, 3, 3, 3)
+    assert np.array_equal(C, C.transpose(1, 0, 2, 3))     # minor, ij
+    assert np.array_equal(C, C.transpose(0, 1, 3, 2))     # minor, kl
+    assert np.array_equal(C, C.transpose(2, 3, 0, 1))     # major
+    voigt = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (1, 2): 3, (2, 1): 3,
+             (0, 2): 4, (2, 0): 4, (0, 1): 5, (1, 0): 5}
+    table = {(0, 0): c11, (1, 1): c11, (0, 1): c11 - 2 * c66, (0, 2): c13,
+             (1, 2): c13, (2, 2): c33, (3, 3): c44, (4, 4): c44, (5, 5): c66}
+    for idx in np.ndindex(C.shape):
+        pair = tuple(sorted((voigt[idx[:2]], voigt[idx[2:]])))
+        assert C[idx] == table.get(pair, 0.0), idx
