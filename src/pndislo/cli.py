@@ -195,7 +195,7 @@ def _cmd_solve(args):
            "residual": sol.residual, "lambda_min": sol.lambda_min,
            "eigenvalues": [float(v) for v in eigs],
            "in_region": sol.in_region, "X": sol.X, "N": sol.N,
-           "out": args.out})
+           "out": args.out, "stats": sol.stats})
     return EXIT_OK
 
 

@@ -8,8 +8,13 @@ where m(e) is the reduced symbol evaluated at the unit direction
 e = (cos theta, sin theta).  The solver substitutes psi = phi + v with the
 fixed background phi(x) = (2/pi) arctan(x), whose half-Laplacian is known in
 closed form, (2/pi) x / (1 + x^2); the deviation v decays and is treated
-periodically on [-X, X).  Semi-implicit spectral gradient flow globalizes,
-damped Newton (GMRES with a circulant preconditioner) finishes to tol_solve.
+periodically on [-X, X) with real FFTs.  Semi-implicit spectral gradient flow
+globalizes, damped Newton (GMRES with a circulant preconditioner) finishes to
+tol_solve.
+
+The flow step treats |k| implicitly and W'(psi)/m explicitly, so only the
+latter limits it: with L = max|W''|/m on [-1, 1] it is stable for dt <= 2/L,
+and dt = 0.5/L keeps a 4x margin without shrinking as N grows.
 
 `check_stability` computes the smallest eigenvalues of the linearization
 v -> (-Delta)^(1/2) v + (W''(psi)/m) v, whose bottom eigenvalue is the
@@ -20,6 +25,7 @@ cell and re-evaluates the full 2D residual through the Fourier multiplier.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional
 
@@ -32,6 +38,9 @@ from .nonlocal_ops import GridField2D, apply_multiplier
 TOL_SOLVE = 1e-10
 #: gradient flow hands over to Newton below this residual
 NEWTON_SWITCH = 1e-4
+#: LOBPCG preconditioner shift (|k| + c)^-1, as a fraction of the bottom of
+#: the far-field spectrum min W''(+-1)/m
+PRECOND_SHIFT = 0.1
 
 
 class SolverError(RuntimeError):
@@ -124,16 +133,24 @@ class ProfileSolution:
     lambda_min: Optional[float] = None
     eigenvalues: Optional[np.ndarray] = dfield(default=None, repr=False)
     params: object = dfield(default=None, repr=False)
+    #: run record: flow_steps, newton_steps, centering_passes from
+    #: solve_profile; lobpcg_iterations, lobpcg_residual, lobpcg_converged
+    #: from check_stability
+    stats: dict = dfield(default_factory=dict, repr=False)
 
     def psi_prime(self) -> np.ndarray:
         """Spatial derivative (analytic background + spectral deviation)."""
-        k = _kgrid(self.N, self.X)
-        dv = np.fft.ifft(1j * k * np.fft.fft(self.v)).real
+        dv = _multiply(1j * _kgrid(self.N, self.X), self.v)
         return (2.0 / np.pi) / (1.0 + self.x ** 2) + dv
 
 
 def _kgrid(n: int, X: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * X / n)
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=2.0 * X / n)
+
+
+def _multiply(symbol, v):
+    """Apply a multiplier on the real-FFT grid to the columns of v."""
+    return np.fft.irfft(symbol * np.fft.rfft(v, axis=0), v.shape[0], axis=0)
 
 
 def _background(x):
@@ -144,8 +161,7 @@ def _background(x):
 
 def _residual(v, absk, half_lap_phi, phi, pot, m_e):
     psi = phi + v
-    F = np.fft.ifft(absk * np.fft.fft(v)).real + half_lap_phi \
-        + pot.dw(psi) / m_e
+    F = _multiply(absk, v) + half_lap_phi + pot.dw(psi) / m_e
     return F, float(np.linalg.norm(F) / math.sqrt(F.size))
 
 
@@ -178,13 +194,14 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     # odd potentials admit exactly centered discrete solutions
     x = -X + h * (np.arange(N) + 0.5)
     phi, half_lap_phi = _background(x)
-    absk = np.abs(_kgrid(N, X))
+    absk = _kgrid(N, X)
 
     d2w_max = float(np.max(np.abs(pot.d2w(np.linspace(-1, 1, 257)))))
-    dt = 0.5 / (absk.max() + d2w_max / m_e)
+    dt = 0.5 * m_e / d2w_max
 
     v = np.zeros(N) if v0 is None else np.array(v0, dtype=float)
     history = []
+    stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0}
 
     def flow(target, budget):
         nonlocal v
@@ -194,8 +211,8 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             if res < target:
                 return True
             nl = half_lap_phi + pot.dw(phi + v) / m_e
-            vhat = (np.fft.fft(v) - dt * np.fft.fft(nl)) / (1.0 + dt * absk)
-            v = np.fft.ifft(vhat).real
+            v = _multiply(1.0 / (1.0 + dt * absk), v - dt * nl)
+            stats["flow_steps"] += 1
         _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
         history.append(res)
         return res < target
@@ -211,10 +228,10 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             c = max(1e-3, float(np.mean(np.abs(dpot))))
 
             def matvec(d):
-                return np.fft.ifft(absk * np.fft.fft(d)).real + dpot * d
+                return _multiply(absk, d) + dpot * d
 
             def pinv(r):
-                return np.fft.ifft(np.fft.fft(r) / (absk + c)).real
+                return _multiply(1.0 / (absk + c), r)
 
             J = LinearOperator((N, N), matvec=matvec, dtype=float)
             M = LinearOperator((N, N), matvec=pinv, dtype=float)
@@ -222,6 +239,7 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
                             restart=60, maxiter=50)
             if info != 0:
                 return False
+            stats["newton_steps"] += 1
             t, best = 1.0, None
             while t >= 1.0 / 64.0:
                 _, res_t = _residual(v + t * d, absk, half_lap_phi, phi,
@@ -245,12 +263,12 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
         # iterated because the interpolated crossing is first-order accurate.
         # Centering also keeps Newton off the flat translation direction.
         nonlocal v
+        stats["centering_passes"] += 1
         for _ in range(10):
             x0 = _zero_crossing(x, phi + v)
             if abs(x0) < 1e-13:
                 break
-            vhat = np.fft.fft(v) * np.exp(1j * _kgrid(N, X) * x0)
-            v = np.fft.ifft(vhat).real \
+            v = _multiply(np.exp(1j * absk * x0), v) \
                 + ((2.0 / np.pi) * np.arctan(x + x0) - phi)
 
     flow(NEWTON_SWITCH if method == "newton" else tol_solve, max_iter)
@@ -274,7 +292,7 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     return ProfileSolution(X=X, N=N, x=x, psi=psi, v=v, theta=theta,
                            m_e=m_e, case=case, residual=res,
                            in_region=c.member(params),
-                           potential=pot, params=params)
+                           potential=pot, params=params, stats=stats)
 
 
 def _zero_crossing(x, psi):
@@ -296,26 +314,28 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6,
     The quadratic form is v -> <(-Delta)^(1/2) v + (W''(psi)/m) v, v> on the
     periodic grid.  Eigenvalues come from LOBPCG seeded with the translation
     mode psi' (exactly the kernel direction in the continuum) plus random
-    vectors; a spectral (|k| + 1)^-1 preconditioner keeps iteration counts
-    low.  Results are stored on the solution (lambda_min, eigenvalues).
+    vectors.  Far from the core W''(psi)/m tends to sigma = min W''(+-1)/m,
+    the edge of the continuous spectrum, where the next eigenvalues cluster.
+    The preconditioner (|k| + c)^-1, c = PRECOND_SHIFT * sigma (> 0 for every
+    Potential), acts as a shift-invert just below that edge.  Results are
+    stored on the solution (lambda_min, eigenvalues; LOBPCG iterations, final
+    largest residual norm and convergence in stats).
     """
     N, X = sol.N, sol.X
-    absk = np.abs(_kgrid(N, X))
-    dpot = sol.potential.d2w(sol.psi) / sol.m_e
+    absk = _kgrid(N, X)[:, None]
+    pot = sol.potential
+    dpot = (pot.d2w(sol.psi) / sol.m_e)[:, None]
+    shift = PRECOND_SHIFT * min(pot.d2w(-1.0), pot.d2w(1.0)) / sol.m_e
+    calls = 0
 
     def matvec(d):
-        d = np.asarray(d)
-        if d.ndim == 1:
-            return np.fft.ifft(absk * np.fft.fft(d)).real + dpot * d
-        return (np.fft.ifft(absk[:, None] * np.fft.fft(d, axis=0),
-                            axis=0).real + dpot[:, None] * d)
+        d = d.reshape(N, -1)
+        return _multiply(absk, d) + dpot * d
 
     def pinv(d):
-        d = np.asarray(d)
-        if d.ndim == 1:
-            return np.fft.ifft(np.fft.fft(d) / (absk + 1.0)).real
-        return np.fft.ifft(np.fft.fft(d, axis=0) / (absk[:, None] + 1.0),
-                           axis=0).real
+        nonlocal calls
+        calls += 1            # LOBPCG preconditions once per iteration
+        return _multiply(1.0 / (absk + shift), d.reshape(N, -1))
 
     A = LinearOperator((N, N), matvec=matvec, matmat=matvec, dtype=float)
     M = LinearOperator((N, N), matvec=pinv, matmat=pinv, dtype=float)
@@ -325,23 +345,25 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6,
     X0[:, 0] = tr / np.linalg.norm(tr)
     X0[:, 1:] = rng.standard_normal((N, n_eig - 1))
     X0, _ = np.linalg.qr(X0)
-    import warnings
+    tol = 1e-9
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        vals, _ = lobpcg(A, X0, M=M, largest=False, tol=1e-9, maxiter=400)
+        vals, vecs = lobpcg(A, X0, M=M, largest=False, tol=tol, maxiter=400)
+    res = float(np.max(np.linalg.norm(matvec(vecs) - vecs * vals, axis=0)))
     vals = np.sort(vals)
     sol.eigenvalues = vals
     sol.lambda_min = float(vals[0])
+    sol.stats.update(lobpcg_iterations=calls, lobpcg_residual=res,
+                     lobpcg_converged=res <= tol)
     return vals
 
 
 def rayleigh_translation(sol: ProfileSolution) -> float:
     """Rayleigh quotient of the translation mode psi' (0 for exact
     solutions by translation invariance)."""
-    absk = np.abs(_kgrid(sol.N, sol.X))
     tr = sol.psi_prime()
     dpot = sol.potential.d2w(sol.psi) / sol.m_e
-    Lt = np.fft.ifft(absk * np.fft.fft(tr)).real + dpot * tr
+    Lt = _multiply(_kgrid(sol.N, sol.X), tr) + dpot * tr
     return float(np.dot(tr, Lt) / np.dot(tr, tr))
 
 

@@ -95,6 +95,10 @@ def test_solve_quick(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["residual"] <= 1e-10
     assert rep["in_region"] is True
+    assert rep["stats"]["lobpcg_converged"] is True
+    assert set(rep["stats"]) == {"flow_steps", "newton_steps",
+                                 "centering_passes", "lobpcg_iterations",
+                                 "lobpcg_residual", "lobpcg_converged"}
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,psi"
     assert len(lines) == 1025

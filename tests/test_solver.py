@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pndislo import regions, solver, symbols
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
@@ -129,6 +130,27 @@ def test_gradient_flow_agrees_with_newton():
     assert np.max(np.abs(a.psi - b.psi)) <= 1e-7
 
 
+def test_flow_steps_do_not_grow_with_n():
+    # |k| is implicit in the flow step, so refining the grid at fixed X must
+    # not shrink the step
+    pot = solver.Potential.quartic(2.0)
+    steps = {N: solver.solve_profile("II", DP, potential=pot, X=100.0,
+                                     N=N).stats["flow_steps"]
+             for N in (1024, 8192)}
+    assert 0 < steps[8192] <= 1.5 * steps[1024]
+
+
+def test_stiff_gradient_flow_agrees_with_newton():
+    # W = 20 m(e) (1 - u^2)^2 / 4 on a fine grid: the flow step is set by
+    # max|W''|/m alone, so 150 steps per pass reach 1e-10
+    pot = solver.Potential.quartic(20.0 * 2.0)     # m(e) = 2
+    a = solver.solve_profile("II", DP, potential=pot, X=25.0, N=8192)
+    b = solver.solve_profile("II", DP, potential=pot, X=25.0, N=8192,
+                             method="gradient-flow", max_iter=150)
+    assert b.residual <= 1e-10
+    assert np.max(np.abs(a.psi - b.psi)) <= 1e-7
+
+
 def test_cosine_oracle_monotone_everywhere():
     sol = solver.solve_profile("I", DP2, X=100.0, N=2048)
     assert np.all(np.diff(sol.psi) > 0.0)
@@ -173,6 +195,32 @@ def test_stability_translation_mode_near_zero():
     assert abs(sol.lambda_min) <= 2e-4
     assert vals[1] > 0.5       # the rest of the spectrum is well separated
     assert abs(solver.rayleigh_translation(sol)) <= 2e-4
+
+
+def test_stability_converges_at_spectrum_edge():
+    # cosine oracle in case II (nu = 0.25, delta = 2): the eigenvalues above
+    # the translation mode cluster at the continuous-spectrum edge 1
+    sol = solver.solve_profile("II", DP2, X=200.0, N=4096)
+    vals = solver.check_stability(sol, n_eig=6)
+    st = sol.stats
+    assert st["lobpcg_converged"] is True
+    assert st["lobpcg_residual"] <= 1e-9
+    assert st["lobpcg_iterations"] < 400
+    assert abs(vals[0]) <= 1e-4 and 1.0 < vals[1] < vals[2] < 1.001
+
+
+@pytest.mark.parametrize("scale", [None, 1.0])
+def test_stability_matches_dense_eigh(scale):
+    pot = None if scale is None else solver.Potential.quartic(scale)
+    sol = solver.solve_profile("II", DP, potential=pot, X=25.0, N=256)
+    vals = solver.check_stability(sol, n_eig=6)
+    n = sol.N
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * sol.X / n)
+    F = np.fft.fft(np.eye(n), axis=0)
+    A = (np.conj(F).T @ (np.abs(k)[:, None] * F)).real / n \
+        + np.diag(sol.potential.d2w(sol.psi) / sol.m_e)
+    dense = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[0, 5])
+    assert np.max(np.abs(vals - dense)) <= 1e-9
 
 
 def test_reconstruct_2d_residual_small():
