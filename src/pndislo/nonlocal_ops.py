@@ -16,15 +16,20 @@ Three ways of applying the slip-plane operator L:
   directions on [0, pi), doubled by evenness.  The operator is assembled once
   as that multiplier and applied spectrally, which is the real-space integral
   of the trigonometric interpolant of the band-limited periodic field.
+  With theta_j = (j + 1/2) pi/N_THETA, every k.e_j keeps its sign on each
+  arc of k's angle within pi/(2 N_THETA) of i pi/N_THETA, so there the sum
+  over directions is one linear form a_i . k: O(N_THETA^2) work for the
+  2 N_THETA forms, then one arctan2 and one form per wavevector.
 
 `energy` computes the whole-cell energy by Plancherel and the localized energy
-E(u; B_R) (double integral excluding B_R^c x B_R^c) by FFT convolutions.
+E(u; B_R) (double integral excluding B_R^c x B_R^c) by FFT convolutions;
+`localized_energies` does so for several radii from one kernel sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -126,21 +131,21 @@ def quadrature_multiplier(kernel: Callable, field: GridField2D) -> np.ndarray:
 
     `kernel(z1, z2)` is any even, (-3)-homogeneous kernel; it is evaluated at
     the N_THETA midpoint directions e_j on [0, pi) only, and the radial
-    integral int_0^inf (1 - cos(r g)) r^-2 dr = pi |g| / 2 is exact.
+    integral int_0^inf (1 - cos(r g)) r^-2 dr = pi |g| / 2 is exact.  The sum
+    is the linear form a_i . k of the arc i nearest k's angle (module
+    docstring); N_THETA is even, so no direction is normal to an arc centre.
     """
     th = (np.arange(N_THETA) + 0.5) * np.pi / N_THETA
-    c, s = np.cos(th), np.sin(th)
-    kv = np.asarray(kernel(c, s), dtype=float)
+    e = np.stack((np.cos(th), np.sin(th)), axis=1)
+    kv = np.asarray(kernel(e[:, 0], e[:, 1]), dtype=float)
+    phi = np.arange(2 * N_THETA) * np.pi / N_THETA  # arc centres
+    centre = np.stack((np.cos(phi), np.sin(phi)), axis=1)
+    a = np.sign(centre @ e.T) @ (kv[:, None] * e) * (0.5 * np.pi / N_THETA)
 
     k1, k2 = field.kgrid()
-    k1, k2 = k1[:, 0], k2[0]
-    m = np.zeros(field.shape)
-    kdote = np.empty(field.shape)
-    for kj, e1, e2 in zip(kv, c, s):
-        np.add.outer(e1 * k1, e2 * k2, out=kdote)
-        m += kj * np.abs(kdote, out=kdote)
-    m *= 0.5 * np.pi / N_THETA  # (1/2pi) * 2 * (pi/N_THETA) * (pi/2)
-    return m
+    # arcs -N_THETA..N_THETA: a negative one indexes a from the end
+    arc = np.rint(np.arctan2(k2, k1) * (N_THETA / np.pi)).astype(np.intp)
+    return a[arc, 0] * k1 + a[arc, 1] * k2
 
 
 def apply_kernel_quadrature(kf: Callable, field: GridField2D) -> GridField2D:
@@ -178,17 +183,23 @@ def aniso_half_laplacian(rho: float, field: GridField2D,
 
 def _sampled_kernel(kf: Callable, field: GridField2D,
                     r_window: float) -> np.ndarray:
-    """K sampled at min-image grid offsets within |y| <= r_window, origin 0."""
+    """K sampled at min-image grid offsets within |y| <= r_window, origin 0.
+
+    K is even in each coordinate, so it is evaluated on the quadrant of
+    offsets (0..n1/2) h1 x (0..n2/2) h2 only and mirrored into the other
+    three: row n1 - i repeats row i, column n2 - j repeats column j.
+    """
     n1, n2 = field.shape
-    h1, h2 = field.L1 / n1, field.L2 / n2
-    y1 = np.fft.fftfreq(n1, d=1.0 / n1) * h1  # min-image offsets
-    y2 = np.fft.fftfreq(n2, d=1.0 / n2) * h2
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    r = np.hypot(Y1, Y2)
-    mask = (r > 0.0) & (r <= r_window)
-    K = np.zeros((n1, n2))
-    K[mask] = kf(Y1[mask], Y2[mask])
-    return K
+    y1, y2 = np.meshgrid(np.arange(n1 // 2 + 1) * (field.L1 / n1),
+                         np.arange(n2 // 2 + 1) * (field.L2 / n2),
+                         indexing="ij")
+    r = np.hypot(y1, y2)
+    y1[0, 0] = 1.0  # patch the origin before calling, as _multiplier_grid
+    K = np.asarray(kf(y1, y2), dtype=float)
+    K[0, 0] = 0.0
+    K[r > r_window] = 0.0
+    K = np.concatenate((K, K[-2:0:-1]), axis=0)
+    return np.concatenate((K, K[:, -2:0:-1]), axis=1)
 
 
 def energy(field: GridField2D, potential: Optional[Callable] = None,
@@ -201,48 +212,65 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     with c_k the Fourier coefficients.  This equals (1/8 pi) of the full
     double integral of |u(x)-u(y)|^2 K(x-y) by Plancherel.
 
-    Localized (needs `kf`): the double integral over all pairs except
-    B_R^c x B_R^c, with the same 1/(8 pi) normalization, evaluated by FFT
-    convolutions against the min-image sampled kernel (origin cell excluded),
-    plus int_{B_R} W(u).  Requires R <= min(L1, L2)/2.
+    Localized (needs `kf`): `localized_energies` at the one radius R.
     """
+    if R is not None:
+        return localized_energies(field, kf, (R,), potential)[0]
+    if symbol is None:
+        raise ValueError("whole-cell energy needs a symbol")
     n1, n2 = field.shape
-    h1, h2 = field.L1 / n1, field.L2 / n2
     cell = field.L1 * field.L2
     u = field.values
+    m = _multiplier_grid(symbol, field)
+    c = np.fft.fft2(u) / (n1 * n2)
+    nl = 0.5 * float(np.sum(m * np.abs(c) ** 2)) * cell
+    pot = float(np.mean(potential(u))) * cell if potential else 0.0
+    return EnergyReport(nl, pot, nl + pot, None)
 
-    if R is None:
-        if symbol is None:
-            raise ValueError("whole-cell energy needs a symbol")
-        m = _multiplier_grid(symbol, field)
-        c = np.fft.fft2(u) / (n1 * n2)
-        nl = 0.5 * float(np.sum(m * np.abs(c) ** 2)) * cell
-        pot = float(np.mean(potential(u))) * cell if potential else 0.0
-        return EnergyReport(nl, pot, nl + pot, None)
 
-    if not 0.0 < R <= 0.5 * min(field.L1, field.L2):
-        raise ValueError(f"R = {R} outside (0, min(L1, L2)/2]")
+def localized_energies(field: GridField2D, kf: Callable,
+                       radii: Sequence[float],
+                       potential: Optional[Callable] = None
+                       ) -> list[EnergyReport]:
+    """Localized energies E(u; B_R), one report per radius R in `radii`.
+
+    E(u; B_R) is the double integral of |u(x)-u(y)|^2 K(x-y) over all pairs
+    except B_R^c x B_R^c, with the 1/(8 pi) normalization of `energy`,
+    evaluated by FFT convolutions against the min-image sampled kernel
+    (origin cell excluded), plus int_{B_R} W(u).  K is sampled and
+    transformed once; each R in (0, min(L1, L2)/2] takes two convolutions.
+    """
+    half = 0.5 * min(field.L1, field.L2)
+    for R in radii:
+        if not 0.0 < R <= half:
+            raise ValueError(f"R = {R} outside (0, min(L1, L2)/2]")
     if kf is None:
         raise ValueError("localized energy needs a kernel")
 
-    K = _sampled_kernel(kf, field, 0.5 * min(field.L1, field.L2))
+    n1, n2 = field.shape
+    dA = field.L1 / n1 * (field.L2 / n2)
+    K = _sampled_kernel(kf, field, half)
     Kh = np.fft.rfft2(K)
-    dA = h1 * h2
+    kappa0 = float(np.sum(K)) * dA
 
     def conv(f):
         return np.fft.irfft2(Kh * np.fft.rfft2(f), s=field.shape) * dA
 
     x1, x2 = field.axes()
-    inside = (x1[:, None] ** 2 + x2[None, :] ** 2) <= R * R
-    chi = inside.astype(float)
-    kappa0 = float(np.sum(K)) * dA
-
+    r2 = x1[:, None] ** 2 + x2[None, :] ** 2
+    u = field.values
     # Pairs with x in B_R: y in B_R counts once, y outside twice (the pair
     # also enters as (y, x)), so the double integral is the sum over x in B_R
     # of int w(y) (u(x)-u(y))^2 K(x-y) dy with w = 2 - chi.  Expanding the
     # square, its u(x)^2 (K*w)(x) term holds sum chi u^2 (K*chi), which is
     # sum chi K*(chi u^2) by K(-y) = K(y); what is left is 2 S(x) below.
-    S = kappa0 * u * u - u * conv((2.0 - chi) * u) + conv((1.0 - chi) * u * u)
-    nl = 2.0 * float(np.sum(S[inside])) * dA / (8.0 * np.pi)
-    pot = float(np.sum(potential(u)[inside])) * dA if potential else 0.0
-    return EnergyReport(nl, pot, nl + pot, R)
+    reports = []
+    for R in radii:
+        inside = r2 <= R * R
+        chi = inside.astype(float)
+        S = (kappa0 * u * u - u * conv((2.0 - chi) * u)
+             + conv((1.0 - chi) * u * u))
+        nl = 2.0 * float(np.sum(S[inside])) * dA / (8.0 * np.pi)
+        pot = float(np.sum(potential(u[inside]))) * dA if potential else 0.0
+        reports.append(EnergyReport(nl, pot, nl + pot, R))
+    return reports

@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pndislo import kernels, symbols
-from pndislo.moduli import derive_parallel, derive_perp, from_isotropic
-from pndislo.nonlocal_ops import (GridField2D, aniso_half_laplacian,
+from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
+                            perp_from_parameters)
+from pndislo.nonlocal_ops import (N_THETA, GridField2D, aniso_half_laplacian,
                                   apply_kernel_quadrature, apply_multiplier,
-                                  energy, quadrature_multiplier)
+                                  energy, localized_energies,
+                                  quadrature_multiplier)
 
 ISO = from_isotropic(1.0, 0.25)
 DP = derive_perp(ISO)
 DPAR = derive_parallel(ISO)
+DP_ANISO = perp_from_parameters(1.0, 0.2, 1.5)
 
 L = 30.0
 N = 128
@@ -72,6 +75,55 @@ def test_quadrature_matches_symbol(case, par, kf_builder, sym):
     assert err <= 1e-3
     assert err <= 1e-4
     assert err <= 3e-5    # exact radial factor: observed ~1.3e-5
+
+
+def test_case1_kernel_below_nu_minus_one_matches_symbol():
+    # (nu, delta) = (-1.2, 0.6) has c < 0, so P vanishes on the unit circle;
+    # the zero of N/P^3 there is removable, and the closed-form kernel still
+    # reproduces symbol_case1 as well as at the control nu = -0.5 (1.3e-5)
+    dp = perp_from_parameters(1.0, -1.2, 0.6)
+    assert dp.c < 0.0
+    kf = kernels.kernel_case1(dp)
+    f = bump()
+    q = apply_kernel_quadrature(kf, f)
+    s = apply_multiplier(lambda a, b: symbols.symbol_case1(dp, a, b), f)
+    err = np.max(np.abs(q.values - s.values)) / np.max(np.abs(s.values))
+    assert err <= 3e-5     # observed ~1.3e-5
+    # the minimum is the genuine value on the x1 axis, not rounding noise
+    # from the neighbourhood of P's zero
+    assert kernels.circle_min(kf, dp)[1] == float(kf(1.0, 0.0))
+
+
+def _direct_sum_multiplier(kernel, field):
+    """(pi/2N) sum_j K(e_j) |k.e_j| over the N = N_THETA midpoint
+    directions, one direction at a time."""
+    th = (np.arange(N_THETA) + 0.5) * np.pi / N_THETA
+    kv = kernel(np.cos(th), np.sin(th))
+    k1, k2 = field.kgrid()
+    m = np.zeros(field.shape)
+    for kj, c, s in zip(kv, np.cos(th), np.sin(th)):
+        m += kj * np.abs(k1 * c + k2 * s)
+    return 0.5 * np.pi / N_THETA * m
+
+
+def _aniso_integral_kernel(rho):
+    return lambda z1, z2: (z1 ** 2 + z2 ** 2 / rho) ** -1.5 / np.sqrt(rho)
+
+
+@pytest.mark.parametrize("kf", [
+    kernels.kernel_case1(DP_ANISO), kernels.kernel_case2(DP_ANISO),
+    kernels.kernel_case3(DPAR), kernels.kernel_isotropic(1.0, 0.75),
+    _aniso_integral_kernel(2.0)], ids=["I", "II", "III", "iso", "aniso"])
+@pytest.mark.parametrize("n1,n2,L1,L2", [(128, 128, 30.0, 30.0),
+                                         (32, 128, 30.0, 47.0),
+                                         (128, 16, 20.0, 60.0)])
+def test_quadrature_multiplier_matches_direct_sum(kf, n1, n2, L1, L2):
+    # the per-arc linear form against the sum over directions; non-square
+    # cells and shapes put grid angles close to the arc breakpoints
+    f = GridField2D(L1, L2, np.zeros((n1, n2)))
+    np.testing.assert_allclose(quadrature_multiplier(kf, f),
+                               _direct_sum_multiplier(kf, f),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_quadrature_multiplier_is_linear_and_symmetric():
@@ -172,11 +224,40 @@ def _localized_energy_reference(field, kf, R):
 @pytest.mark.parametrize("R", [5.0, 12.0])
 def test_localized_energy_matches_pair_sum(kf, R):
     rng = np.random.default_rng(11)
-    f = GridField2D(30.0, 24.0, rng.standard_normal((16, 16)))
-    rep = energy(f, kf=kf, R=R)
-    assert rep.nonlocal_part == pytest.approx(
-        _localized_energy_reference(f, kf, R), rel=1e-12)
-    assert rep.potential_part == 0.0 and rep.radius == R
+    # n1 != n2 checks the quadrant mirror of the sampled kernel per axis
+    for shape in ((16, 16), (16, 32)):
+        f = GridField2D(30.0, 24.0, rng.standard_normal(shape))
+        rep = energy(f, kf=kf, R=R)
+        assert rep.nonlocal_part == pytest.approx(
+            _localized_energy_reference(f, kf, R), rel=1e-12)
+        assert rep.potential_part == 0.0 and rep.radius == R
+
+
+def _quartic(u):
+    return 0.25 * (1 - u ** 2) ** 2
+
+
+def test_localized_energies_match_single_radius_calls():
+    rng = np.random.default_rng(5)
+    f = GridField2D(40.0, 28.0, np.tanh(rng.standard_normal((64, 32))))
+    kf = kernels.kernel_case2(DP_ANISO)
+    radii = (3.0, 7.5, 14.0)
+    reps = localized_energies(f, kf, radii, potential=_quartic)
+    assert [r.radius for r in reps] == list(radii)
+    x1, x2 = f.axes()
+    dA = 40.0 / 64 * 28.0 / 32
+    for rep, R in zip(reps, radii):
+        inside = x1[:, None] ** 2 + x2[None, :] ** 2 <= R * R
+        assert rep.potential_part == pytest.approx(
+            float(np.sum(_quartic(f.values)[inside])) * dA, rel=1e-13)
+        one = energy(f, potential=_quartic, kf=kf, R=R)
+        assert rep.nonlocal_part == pytest.approx(one.nonlocal_part,
+                                                  rel=1e-13)
+        assert rep.potential_part == pytest.approx(one.potential_part,
+                                                   rel=1e-13)
+        assert rep.total == pytest.approx(one.total, rel=1e-13)
+    with pytest.raises(ValueError):
+        localized_energies(f, kf, (3.0, 15.0))   # 15 > min(L1, L2)/2
 
 
 def test_localized_energy_validation():
