@@ -196,7 +196,8 @@ def _cmd_solve(args):
            "eigenvalues": [float(v) for v in eigs],
            "in_region": sol.in_region, "X": sol.X, "N": sol.N,
            "out": args.out, "stats": sol.stats})
-    return EXIT_OK
+    # an unconverged spectrum is reported, not passed off as a result
+    return EXIT_OK if sol.stats["lobpcg_converged"] else EXIT_NO_CONVERGENCE
 
 
 def _cmd_extend(args):
@@ -311,10 +312,9 @@ def _cmd_verify(args):
             "parallel", ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))]:
         sys_ = extension.build_halfspace(ori, ec, k1, k2)
         e_ext = max(e_ext, float(np.max(np.abs(sys_.bplus(0.0) - np.eye(3)))))
-        for sign, D, x in ((-1, sys_.D_decay, 1.3), (1, sys_.D_grow, -1.3)):
-            ref = scipy.linalg.expm(D * x)
-            e = np.abs(sys_.propagate(sign, [x], np.eye(3))[0] - ref)
-            e_ext = max(e_ext, float(np.max(e) / np.max(np.abs(ref))))
+        ref = scipy.linalg.expm(sys_.D_decay * 1.3)
+        e = np.abs(sys_.propagate([1.3], np.eye(3))[0] - ref)
+        e_ext = max(e_ext, float(np.max(e) / np.max(np.abs(ref))))
     checks["extension_identity"] = e_ext
     ok = ok and e_ext <= 1e-12
 

@@ -11,11 +11,17 @@ w = T u, T = diag(i on n, 1 on the slip axes).  The companion matrix has
 eigenvalues {+-r1, +-r2, +-r2} (perp, r1 = r2 at delta = 1) or
 +-theta_i |k| (parallel, maybe a complex pair).  For all nonzero
 frequencies at once, a batched Newton iteration gives the matrix sign
-function S; the range {(w, D w)} of (I -+ S)/2 gives the generator D of the
-decaying (growing) solutions whatever the Jordan structure; and exp(D xn),
-the propagator Bplus (Bminus) in w, is the quadratic in D that interpolates
+function S; the range {(w, D w)} of (I - S)/2 gives the generator D of the
+decaying solutions whatever the Jordan structure; and exp(D xn), the
+propagator Bplus in w, is the quadratic in D that interpolates
 e^(lambda xn) at the analytic rates, applied to the boundary vectors in
 closed form.  `normal_closure` gives the normal displacement.
+
+The slip plane is a mirror plane: reflection flips the sign of M1, the only
+block coupling u_n to the slip components, so u(xn) -> J u(-xn), J = diag(+1
+on n, -1 on the slip axes), maps solutions to solutions.  The growing
+generator is -J D J, and Bminus(xn) = J Bplus(-xn) J.  Slip-plane data is
+real: `extend` and `interior_residual` use the rfft2 half spectrum.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .moduli import ElasticConstants, derive_parallel, derive_perp, stiffness
-from .nonlocal_ops import GridField2D
+from .nonlocal_ops import GridField2D, cell_axes, wavenumbers
 
 #: axis normal to the slip plane; x3 is the symmetry axis
 NORMAL_AXIS = {"perp": 1, "parallel": 2}
@@ -36,13 +42,15 @@ SIGN_ITER_MAX = 40
 
 
 def _axes(orientation: str):
-    """Normal axis n, the slip axes (the other two, in order) and the
-    diagonal of T, physical -> transformed variables w = T u."""
+    """Normal axis n, the slip axes (the other two, in order), the diagonal
+    of T, physical -> transformed variables w = T u, and that of the mirror
+    J (+1 on n, -1 on the slip axes)."""
     if orientation not in NORMAL_AXIS:
         raise ValueError(f"unknown orientation {orientation!r}")
     n = NORMAL_AXIS[orientation]
-    return n, tuple(a for a in range(3) if a != n), \
-        np.where(np.arange(3) == n, 1j, 1.0)
+    on_n = np.arange(3) == n
+    return (n, tuple(a for a in range(3) if a != n),
+            np.where(on_n, 1j, 1.0), np.where(on_n, 1.0, -1.0))
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
@@ -66,36 +74,36 @@ def _pair(mux: np.ndarray, y: np.ndarray):
 @dataclass
 class HalfSpaceSystem:
     """Half-space ODE at one frequency or a stack of them (leading axes of
-    k, eigvals and D): D_decay (D_grow) is the real 3x3 generator of the
-    decaying (growing) solutions in transformed variables, w' = D w."""
+    k, eigvals and D_decay): D_decay is the real 3x3 generator of the
+    decaying solutions in transformed variables, w' = D w; the growing one
+    is -J D_decay J."""
 
     orientation: str                      # "perp" | "parallel"
     k: tuple                              # (k1, k2)
-    eigvals: np.ndarray                   # analytic rates r, then -r (6)
+    eigvals: np.ndarray                   # analytic decay rates r (3)
     D_decay: np.ndarray                   # Re(spectrum) < 0 (upper half)
-    D_grow: np.ndarray                    # Re(spectrum) > 0 (lower half)
 
-    def propagate(self, sign: int, x, w: np.ndarray) -> np.ndarray:
-        """exp(D x) w in transformed variables, in closed form, for D_decay
-        (sign = -1) or D_grow (sign = +1): x of shape (X,), w (..., 3, m)
-        with the frequency axes leading, result (..., X, 3, m)."""
-        D = self.D_decay if sign < 0 else self.D_grow
-        r, x, Dw = self.eigvals[..., :3], np.asarray(x, dtype=float), D @ w
+    def propagate(self, x, w: np.ndarray) -> np.ndarray:
+        """exp(D_decay x) w in transformed variables, in closed form: x of
+        shape (X,), w (..., 3, m) with the frequency axes leading, result
+        (..., X, 3, m)."""
+        D = self.D_decay
+        r, x, Dw = self.eigvals, np.asarray(x, dtype=float), D @ w
         if self.orientation == "perp":
-            # nodes sign (r2, r2, r1); N = D - sign r2 I
+            # nodes (-r2, -r2, -r1); N = D + r2 I
             r1, r2 = r[..., 0].real, r[..., 1].real
-            Nw = Dw - sign * r2[..., None, None] * w
-            N2w = D @ Nw - sign * r2[..., None, None] * Nw
-            e = np.exp(sign * r2[..., None] * x)
-            # z > 700 only where e = exp(-r2 |x|) underflows to 0, because
+            Nw = Dw + r2[..., None, None] * w
+            N2w = D @ Nw + r2[..., None, None] * Nw
+            e = np.exp(-r2[..., None] * x)
+            # z > 700 only where e = exp(-r2 x) underflows to 0, because
             # r1 > r2/2 for 0 < delta < 4
-            z = np.minimum(sign * (r1 - r2)[..., None] * x, 700.0)
+            z = np.minimum((r2 - r1)[..., None] * x, 700.0)
             terms = ((e, w), (e * x, Nw), (e * x * x * _phi2(z), N2w))
         else:
-            # SH node a = sign theta1 |k| on k_perp/|k|, exactly decoupled;
+            # SH node a = -theta1 |k| on k_perp/|k|, exactly decoupled;
             # the coupled pair mu +- sqrt(q) is real or complex conjugate
-            a = sign * r[..., 0].real
-            mu = sign * 0.5 * (r[..., 1] + r[..., 2]).real
+            a = -r[..., 0].real
+            mu = -0.5 * (r[..., 1] + r[..., 2]).real
             q = 0.25 * ((r[..., 1] - r[..., 2]) ** 2).real
             eC, eS = _pair(mu[..., None] * x, q[..., None] * x * x)
             # h(lambda) = eC + x eS (lambda - mu) interpolates the pair
@@ -108,20 +116,18 @@ class HalfSpaceSystem:
         # coefficients (..., X) times vectors (..., 3, m)
         return sum(c[..., None, None] * v[..., None, :, :] for c, v in terms)
 
-    def _matrix(self, sign: int, xn) -> np.ndarray:
-        # closed form on the columns of T, then T^-1 on the left
-        x, t = np.asarray(xn, dtype=float), _axes(self.orientation)[2]
-        B = self.propagate(sign, x.ravel(), np.diag(t)) / t[:, None]
-        return B.reshape(B.shape[:-3] + x.shape + (3, 3))
-
     def bplus(self, xn) -> np.ndarray:
         """Upper half-space propagator (physical variables): 3x3 for a
         scalar xn, shape S + (3, 3) for an array of shape S."""
-        return self._matrix(-1, xn)
+        # closed form on the columns of T, then T^-1 on the left
+        x, t = np.asarray(xn, dtype=float), _axes(self.orientation)[2]
+        B = self.propagate(x.ravel(), np.diag(t)) / t[:, None]
+        return B.reshape(B.shape[:-3] + x.shape + (3, 3))
 
     def bminus(self, xn) -> np.ndarray:
-        """Lower half-space propagator; xn as in `bplus`."""
-        return self._matrix(1, xn)
+        """Lower half-space propagator, J bplus(-xn) J; xn as in `bplus`."""
+        J = _axes(self.orientation)[3]
+        return J[:, None] * self.bplus(-np.asarray(xn, dtype=float)) * J
 
     def dbplus0(self) -> np.ndarray:
         """d/dxn of bplus at 0."""
@@ -135,7 +141,7 @@ def _companion(orientation: str, ec: ElasticConstants, k1, k2):
     of times, so M2 = C_inkn is diagonal, and M1 = i (C_inks + C_iskn) k_s
     couples u_n only to the slip components: in w its i becomes -1 on row n
     and +1 on column n.  M0 = -C_iskt k_s k_t."""
-    n, slip, _ = _axes(orientation)
+    n, slip = _axes(orientation)[:2]
     C, k = stiffness(ec), np.stack([k1, k2], -1)
     Cs = C[:, slip][..., slip]                      # (i, s, k, t)
     M0 = -np.tensordot(k[..., :, None] * k[..., None, :],
@@ -185,32 +191,28 @@ def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
     """HalfSpaceSystem at nonzero frequencies k1, k2 (arrays of one shape)
     and a record {frequencies, sign_iterations, spectrum_mismatch}.  Raises
     LinAlgError unless the elementary symmetric functions e_j of every D
-    match those of -+ the analytic rates to 1e-10 |k|^j; spectrum_mismatch
-    is the largest mismatch over |k|^j."""
+    match those of minus the analytic rates to 1e-10 |k|^j;
+    spectrum_mismatch is the largest mismatch over |k|^j."""
     kk = np.hypot(k1, k2)
     if not np.all(kk > 0.0):
         raise ValueError("k = 0 has no decaying extension; handled separately")
     r = _analytic_rates(orientation, ec, k1, k2)   # validates ec
     S, iterations = _sign(_companion(orientation, ec, k1, k2))
+    P = 0.5 * (np.eye(6) - S)
+    P1, PT = P[..., :3, :], np.swapaxes(P, -1, -2)
+    # range {(w, D w)}: P2 = D P1, so D = P2 P1^T (P1 P1^T)^-1
+    D = np.linalg.solve(P1 @ PT[..., :3], P1 @ PT[..., 3:]).swapaxes(-1, -2)
     e_rates = _symmetric_functions(r[..., None, :] * np.eye(3))   # of diag(r)
-    D, worst = {}, 0.0
-    for name, sgn in (("decay", -1.0), ("grow", 1.0)):
-        P = 0.5 * (np.eye(6) + sgn * S)
-        P1, PT = P[..., :3, :], np.swapaxes(P, -1, -2)
-        # range {(w, D w)}: P2 = D P1, so D = P2 P1^T (P1 P1^T)^-1
-        D[name] = np.swapaxes(
-            np.linalg.solve(P1 @ PT[..., :3], P1 @ PT[..., 3:]), -1, -2)
-        for j, (num, ana) in enumerate(
-                zip(_symmetric_functions(D[name]), e_rates), start=1):
-            err = np.abs(num - sgn ** j * ana)
-            bad = np.flatnonzero(~(err <= 1e-10 * kk ** j))   # NaN is bad
-            if bad.size:
-                raise np.linalg.LinAlgError(
-                    f"companion spectrum mismatch ({name}, e{j}) at k = "
-                    f"{k1.flat[bad[0]]}, {k2.flat[bad[0]]}")
-            worst = max(worst, float(np.max(err / kk ** j, initial=0.0)))
-    return (HalfSpaceSystem(orientation, (k1, k2), np.concatenate([r, -r], -1),
-                            D["decay"], D["grow"]),
+    worst = 0.0
+    for j, (num, ana) in enumerate(zip(_symmetric_functions(D), e_rates), 1):
+        err = np.abs(num - (-1) ** j * ana)
+        bad = np.flatnonzero(~(err <= 1e-10 * kk ** j))   # NaN is bad
+        if bad.size:
+            raise np.linalg.LinAlgError(
+                f"companion spectrum mismatch (e{j}) at k = "
+                f"{k1.flat[bad[0]]}, {k2.flat[bad[0]]}")
+        worst = max(worst, float(np.max(err / kk ** j, initial=0.0)))
+    return (HalfSpaceSystem(orientation, (k1, k2), r, D),
             {"frequencies": int(kk.size), "sign_iterations": iterations,
              "spectrum_mismatch": worst})
 
@@ -233,7 +235,7 @@ def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
     stress to vanish: sigma_nn(0+) = C_nnkl d_l u_k = 0, with d_n = dbplus0()
     and d_s = i k_s, a linear relation for u_n^+.
     """
-    n, (sa, sb), _ = _axes(sys.orientation)
+    n, (sa, sb) = _axes(sys.orientation)[:2]
     C = stiffness(ec)[n, n]
     # sigma_nn = row . u
     row = C[:, n] @ sys.dbplus0() + 1j * np.stack(sys.k, -1) @ C[:, [sa, sb]].T
@@ -258,10 +260,7 @@ class Field3D:
     stats: dict = dfield(default_factory=dict)     # what `extend` computed
 
     def slip_axes(self):
-        n1, n2 = self.u.shape[2], self.u.shape[3]
-        a = -0.5 * self.L1 + self.L1 / n1 * np.arange(n1)
-        b = -0.5 * self.L2 + self.L2 / n2 * np.arange(n2)
-        return a, b
+        return cell_axes(self.L1, self.L2, *self.u.shape[2:])
 
     def tofile(self, path_bin: str, path_header: str):
         """Flat little-endian float64 dump plus a JSON header."""
@@ -290,42 +289,41 @@ def extend(orientation: str, ec: ElasticConstants,
     boundary_a/boundary_b are the two in-plane displacement components on the
     upper face of the slip plane: (u1+, u3+) for "perp", (u1+, u2+) for
     "parallel".  The normal component follows from `normal_closure`.  The
-    lower half-space uses u- = J u+ (slip jump conventions) with the
-    growing-rate propagator; the zero frequency extends as a constant.
-    The field's stats are the record of `_halfspaces`.
+    upper field is propagated once per distinct |xn| and the lower one is
+    its mirror image u(-xn) = J u(xn), the slip jump u- = J u+ at the plane;
+    the zero frequency extends as a constant.  A grid cannot hold the odd
+    part of a Nyquist mode, so Nyquist content is a ValueError.  The field's
+    stats are the record of `_halfspaces`.
     """
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
         raise ValueError("boundary components must share one grid")
-    n, (sa, sb), t = _axes(orientation)
-    J = np.where(np.arange(3) == n, 1.0, -1.0)
-    ka, kb = boundary_a.kgrid()
+    n, (sa, sb), t, J = _axes(orientation)
+    (n1, n2), (ka, kb) = boundary_a.shape, boundary_a.kgrid()
+    up = np.zeros((3,) + ka.shape, dtype=complex)
+    up[sa] = np.fft.rfft2(boundary_a.values)
+    up[sb] = np.fft.rfft2(boundary_b.values)
+    nyquist = max(np.max(np.abs(up[:, n1 // 2])), np.max(np.abs(up[..., -1])))
+    if nyquist > 1e-12 * np.max(np.abs(up)):
+        raise ValueError("boundary data has content at the Nyquist frequency, "
+                         "which the grid cannot extend")
     nz = (ka != 0.0) | (kb != 0.0)
     sys, stats = _halfspaces(orientation, ec, ka[nz], kb[nz])
-    x_normal = np.sort(np.asarray(x_normal, dtype=float))
-    # sorted: samples [:i0] are below the slip plane, [i0:] above it
-    i0 = int(np.searchsorted(x_normal, 0.0))
-
-    up = np.zeros((3,) + boundary_a.shape, dtype=complex)
-    up[sa] = np.fft.fft2(boundary_a.values)
-    up[sb] = np.fft.fft2(boundary_b.values)
     up[n][nz] = normal_closure(sys, ec, up[sa][nz], up[sb][nz])
-    out = np.empty((3, x_normal.size) + boundary_a.shape, dtype=complex)
-    for sign, half, u0 in ((-1, slice(i0, None), up),
-                           (1, slice(0, i0), J[:, None, None] * up)):
-        out[:, half] = u0[:, None]
-        w = (t[:, None] * u0[:, nz]).T[..., None]
-        B = sys.propagate(sign, x_normal[half], w)[..., 0] / t
-        out[:, half, nz] = B.transpose(2, 1, 0)
-
-    vals = np.fft.ifft2(out, axes=(2, 3))
-    imag = np.max(np.abs(vals.imag))
-    scale = max(np.max(np.abs(vals.real)), 1e-300)
-    if imag > 1e-8 * scale:
-        raise ValueError(f"extension is not real (imag/real = "
-                         f"{imag / scale:.3e}); boundary data must be real")
+    x_normal = np.sort(np.asarray(x_normal, dtype=float))
+    xa, back = np.unique(np.abs(x_normal), return_inverse=True)
+    out = np.repeat(up[:, None], xa.size, axis=1)
+    w = (t[:, None] * up[:, nz]).T[..., None]
+    out[:, :, nz] = (sys.propagate(xa, w)[..., 0] / t).transpose(2, 1, 0)
+    # the k2 = 0 column holds +-k1 pairs that were both computed
+    odd = np.abs(out[..., 1:n1 // 2, 0] - np.conj(out[..., :n1 // 2:-1, 0]))
+    odd = np.max(odd, initial=0.0) / max(np.max(np.abs(out)), 1e-300)
+    if odd > 1e-8:
+        raise ValueError(f"extension is not real (+-k mismatch {odd:.3e})")
+    u = np.fft.irfft2(out, s=(n1, n2), axes=(2, 3))[:, back]
+    u[:, x_normal < 0.0] *= J[:, None, None, None]
     return Field3D(orientation=orientation, L1=boundary_a.L1,
-                   L2=boundary_a.L2, x_normal=x_normal, u=vals.real, ec=ec,
+                   L2=boundary_a.L2, x_normal=x_normal, u=u, ec=ec,
                    stats=stats)
 
 
@@ -358,18 +356,16 @@ def interior_residual(field: Field3D) -> float:
     the outer edge are excluded.  The residual is normalized by the largest
     absolute term entering any equation row (per half-space).
     """
-    n, slip, _ = _axes(field.orientation)
+    n, slip = _axes(field.orientation)[:2]
     C = stiffness(field.ec)
     terms = [(i, k, j, l, C[i, j, k, l] + (j != l) * C[i, l, k, j])
              for i in range(3) for k in range(3)
              for j in range(3) for l in range(j, 3)]
     terms = [tm for tm in terms if tm[4] != 0.0]
-    n1, n2 = field.u.shape[2:]
+    shape = field.u.shape[2:]
     # spectral factor of d_j: i k on a slip axis, 1 on the normal (by FD)
-    ik = dict(zip(slip, (
-        2j * np.pi * np.fft.fftfreq(n1, d=field.L1 / n1)[:, None],
-        2j * np.pi * np.fft.fftfreq(n2, d=field.L2 / n2)[None, :])))
-    ik[n] = 1.0
+    kg = wavenumbers(field.L1, field.L2, *shape)
+    ik = {slip[0]: 1j * kg[0], slip[1]: 1j * kg[1], n: 1.0}
     worst = 0.0
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         xn = field.x_normal[half]
@@ -380,14 +376,15 @@ def interior_residual(field: Field3D) -> float:
             raise ValueError("normal samples must be uniformly spaced")
         h = hs[0]
         u = field.u[:, half]                       # (3, nn, n1, n2)
-        uh = np.fft.fft2(u, axes=(-2, -1))
+        uh = np.fft.rfft2(u, axes=(-2, -1))
         rows = [[], [], []]
         for i, k, j, l, c in terms:
             on_n = (j == n) + (l == n)
             if on_n == 2:
                 d = _fd_normal(u[k], h, 2)
             else:
-                d = np.fft.ifft2(ik[j] * ik[l] * uh[k], axes=(-2, -1)).real
+                d = np.fft.irfft2(ik[j] * ik[l] * uh[k], s=shape,
+                                  axes=(-2, -1))
                 d = _fd_normal(d, h, 1) if on_n else d[4:-4]
             rows[i].append(c * d)
         # normalize by the largest term over all equations: a row that is
@@ -408,7 +405,7 @@ def stress_strain(field: Field3D):
     Returns (strain, stress, density) with tensor index layout
     [i, j, normal, slip1, slip2].
     """
-    n, slip, _ = _axes(field.orientation)
+    n, slip = _axes(field.orientation)[:2]
     grads = np.zeros((3, 3) + field.u.shape[1:])   # d u_k / d x_l at [k, l]
     for a, (s, coord) in enumerate(zip(slip, field.slip_axes())):
         grads[:, s] = np.gradient(field.u, coord, axis=2 + a)

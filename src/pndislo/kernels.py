@@ -21,6 +21,7 @@ finite differences in extended precision (no computer-algebra layer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,8 @@ _L = np.longdouble
 FD_ORDER = 8
 #: their step, relative to the distance from the origin
 FD_H_REL = 1e-2
+#: how far (rad) `circle_min` keeps from a zero of a case-I P on the circle
+P_ZERO_GAP = 1e-3
 
 
 def _even_poly(coeffs, x1sq, x3sq):
@@ -352,6 +355,23 @@ def _zeta_candidates(kf: KernelForm, params) -> list:
     return [float(np.arccos(np.sqrt(u))) for u in roots if 0.0 <= u <= 1.0]
 
 
+def _p_zeros(kf: KernelForm) -> tuple:
+    """Angles in (0, pi) where P of a case-I kernel vanishes on the circle.
+
+    With t = cot^2 theta, P / sin^4 theta = t^2 + b t + c, which has one
+    positive root when c < 0 (nu < -1).  N cancels that zero, but float
+    evaluation within ~1e-4 rad of it is noise.  Empty when c >= 0 and for
+    the other cases, whose P is positive on the circle.
+    """
+    if kf.case != "I":
+        return ()
+    _, b, c = kf.terms[0].den_coeffs
+    if c >= 0.0:
+        return ()
+    th = math.atan2(1.0, math.sqrt(0.5 * (math.sqrt(b * b - 4.0 * c) - b)))
+    return th, math.pi - th
+
+
 def circle_min(kf: KernelForm, params=None):
     """(theta_min, k_min) of theta -> K(cos theta, sin theta) on [0, pi).
 
@@ -359,22 +379,29 @@ def circle_min(kf: KernelForm, params=None):
     critical angles; with `params`, `_zeta_candidates` adds the interior
     ones in closed form, and K is taken there as it is.  Only when a 4096-angle
     grid goes lower does a zoom of 65 angles a pass close in on its best one.
+    The grid and the zoom skip angles within P_ZERO_GAP of `_p_zeros`.
     """
     cands = [0.0, 0.5 * np.pi]
     if params is not None:
         cands += _zeta_candidates(kf, params)
+    zeros = _p_zeros(kf)
 
     def kv(t):
         return float(kf(np.cos(t), np.sin(t)))
 
+    def clear(t, v):
+        for z in zeros:
+            v[np.abs(t - z) < P_ZERO_GAP] = np.inf
+        return v
+
     best_t, best_v = min(((t, kv(t)) for t in cands), key=lambda tv: tv[1])
     th, vals = circle_profile(kf, 4096)
-    i = int(np.argmin(vals))
+    i = int(np.argmin(clear(th, vals)))
     if vals[i] < best_v:
         lo, hi = th[i] - 2e-3, th[i] + 2e-3
         while hi - lo > 1e-12:
             t = np.linspace(lo, hi, 65)
-            j = int(np.argmin(kf(np.cos(t), np.sin(t))))
+            j = int(np.argmin(clear(t, kf(np.cos(t), np.sin(t)))))
             lo, hi = t[max(j - 1, 0)], t[min(j + 1, 64)]
         best_t, best_v = float(t[j]), kv(t[j])
     return best_t % np.pi, best_v

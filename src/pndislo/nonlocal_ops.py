@@ -19,11 +19,13 @@ Three ways of applying the slip-plane operator L:
   With theta_j = (j + 1/2) pi/N_THETA, every k.e_j keeps its sign on each
   arc of k's angle within pi/(2 N_THETA) of i pi/N_THETA, so there the sum
   over directions is one linear form a_i . k: O(N_THETA^2) work for the
-  2 N_THETA forms, then one arctan2 and one form per wavevector.
+  N_THETA + 1 forms, then one arctan2 and one form per wavevector.
 
-`energy` computes the whole-cell energy by Plancherel and the localized energy
-E(u; B_R) (double integral excluding B_R^c x B_R^c) by FFT convolutions;
-`localized_energies` does so for several radii from one kernel sampling.
+Fields are real and multipliers even, so every transform is on the rfft2
+half spectrum (`kgrid`, k2 >= 0).  `energy` computes the whole-cell energy
+by Plancherel and the localized energy E(u; B_R) (double integral
+excluding B_R^c x B_R^c) by FFT convolutions; `localized_energies` does so
+for several radii from one kernel sampling.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ N_THETA = 128
 
 def _is_pow2(n: int) -> bool:
     return n >= 8 and (n & (n - 1)) == 0
+
+
+def cell_axes(L1: float, L2: float, n1: int, n2: int):
+    """Sample coordinates (x1, x2) of a periodic cell, x_i = -L/2 + i L/n."""
+    return (-0.5 * L1 + L1 / n1 * np.arange(n1),
+            -0.5 * L2 + L2 / n2 * np.arange(n2))
+
+
+def wavenumbers(L1: float, L2: float, n1: int, n2: int):
+    """Angular wavenumbers (k1, k2) of the rfft2 half spectrum, n1 x n2/2+1."""
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n1, d=L1 / n1)
+    k2 = 2.0 * np.pi * np.fft.rfftfreq(n2, d=L2 / n2)
+    return np.meshgrid(k1, k2, indexing="ij")
+
+
+def _apply(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The even multiplier m, on the half spectrum, applied to real u."""
+    return np.fft.irfft2(m * np.fft.rfft2(u), s=u.shape)
 
 
 @dataclass
@@ -73,22 +93,15 @@ class GridField2D:
 
     def axes(self):
         """Cell-centered coordinates (x1, x2), each starting at -L/2."""
-        n1, n2 = self.values.shape
-        x1 = -0.5 * self.L1 + self.L1 / n1 * np.arange(n1)
-        x2 = -0.5 * self.L2 + self.L2 / n2 * np.arange(n2)
-        return x1, x2
+        return cell_axes(self.L1, self.L2, *self.values.shape)
 
     def kgrid(self):
-        """Angular wavenumber grids (k1, k2) matching numpy FFT layout."""
-        n1, n2 = self.values.shape
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n1, d=self.L1 / n1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(n2, d=self.L2 / n2)
-        return np.meshgrid(k1, k2, indexing="ij")
+        """Angular wavenumbers (k1, k2) of the rfft2 half spectrum."""
+        return wavenumbers(self.L1, self.L2, *self.values.shape)
 
     @classmethod
     def from_function(cls, L1, L2, n1, n2, f) -> "GridField2D":
-        x1 = -0.5 * L1 + L1 / n1 * np.arange(n1)
-        x2 = -0.5 * L2 + L2 / n2 * np.arange(n2)
+        x1, x2 = cell_axes(L1, L2, n1, n2)
         vals = np.broadcast_to(f(x1[:, None], x2[None, :]), (n1, n2))
         return cls(L1, L2, np.array(vals, dtype=float))
 
@@ -112,9 +125,7 @@ def apply_multiplier(symbol: Callable, field: GridField2D) -> GridField2D:
     `symbol(k1, k2)` must accept array arguments with k != 0; the zero mode is
     set to 0 (every symbol here vanishes at the origin by 1-homogeneity).
     """
-    m = _multiplier_grid(symbol, field)
-    out = np.fft.ifft2(m * np.fft.fft2(field.values)).real
-    return field.like(out)
+    return field.like(_apply(_multiplier_grid(symbol, field), field.values))
 
 
 def _multiplier_grid(symbol: Callable, field: GridField2D) -> np.ndarray:
@@ -138,12 +149,12 @@ def quadrature_multiplier(kernel: Callable, field: GridField2D) -> np.ndarray:
     th = (np.arange(N_THETA) + 0.5) * np.pi / N_THETA
     e = np.stack((np.cos(th), np.sin(th)), axis=1)
     kv = np.asarray(kernel(e[:, 0], e[:, 1]), dtype=float)
-    phi = np.arange(2 * N_THETA) * np.pi / N_THETA  # arc centres
+    phi = np.arange(N_THETA + 1) * np.pi / N_THETA  # arc centres
     centre = np.stack((np.cos(phi), np.sin(phi)), axis=1)
     a = np.sign(centre @ e.T) @ (kv[:, None] * e) * (0.5 * np.pi / N_THETA)
 
     k1, k2 = field.kgrid()
-    # arcs -N_THETA..N_THETA: a negative one indexes a from the end
+    # k2 >= 0 on the half spectrum: the angle, and so the arc, is in [0, pi]
     arc = np.rint(np.arctan2(k2, k1) * (N_THETA / np.pi)).astype(np.intp)
     return a[arc, 0] * k1 + a[arc, 1] * k2
 
@@ -155,9 +166,7 @@ def apply_kernel_quadrature(kf: Callable, field: GridField2D) -> GridField2D:
     integrable O(|y|^-1) density; the quadrature is the angular midpoint rule
     of `quadrature_multiplier`, acting spectrally on the band-limited field.
     """
-    m = quadrature_multiplier(kf, field)
-    out = np.fft.ifft2(m * np.fft.fft2(field.values)).real
-    return field.like(out)
+    return field.like(_apply(quadrature_multiplier(kf, field), field.values))
 
 
 def aniso_half_laplacian(rho: float, field: GridField2D,
@@ -210,7 +219,8 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     Whole cell (R is None, needs `symbol`):
         (1/2) sum_k m(k) |c_k|^2 |cell|  +  int_cell W(u),
     with c_k the Fourier coefficients.  This equals (1/8 pi) of the full
-    double integral of |u(x)-u(y)|^2 K(x-y) by Plancherel.
+    double integral of |u(x)-u(y)|^2 K(x-y) by Plancherel.  The sum runs
+    over the half spectrum, where columns 1 .. n2/2 - 1 stand for k and -k.
 
     Localized (needs `kf`): `localized_energies` at the one radius R.
     """
@@ -221,9 +231,9 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     n1, n2 = field.shape
     cell = field.L1 * field.L2
     u = field.values
-    m = _multiplier_grid(symbol, field)
-    c = np.fft.fft2(u) / (n1 * n2)
-    nl = 0.5 * float(np.sum(m * np.abs(c) ** 2)) * cell
+    p = _multiplier_grid(symbol, field) * np.abs(np.fft.rfft2(u)) ** 2
+    p[:, 1:n2 // 2] *= 2.0
+    nl = 0.5 * float(np.sum(p)) / (n1 * n2) ** 2 * cell
     pot = float(np.mean(potential(u))) * cell if potential else 0.0
     return EnergyReport(nl, pot, nl + pot, None)
 
@@ -254,7 +264,7 @@ def localized_energies(field: GridField2D, kf: Callable,
     kappa0 = float(np.sum(K)) * dA
 
     def conv(f):
-        return np.fft.irfft2(Kh * np.fft.rfft2(f), s=field.shape) * dA
+        return _apply(Kh, f) * dA
 
     x1, x2 = field.axes()
     r2 = x1[:, None] ** 2 + x2[None, :] ** 2

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres, lobpcg
 
 from . import regions
-from .nonlocal_ops import GridField2D, apply_multiplier
+from .nonlocal_ops import GridField2D, apply_multiplier, cell_axes
 
 TOL_SOLVE = 1e-10
 #: gradient flow hands over to Newton below this residual
@@ -380,8 +380,7 @@ def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256,
     L1 = 2.0 * sol.X if L1 is None else L1
     L2 = 2.0 * sol.X if L2 is None else L2
     e1, e2 = math.cos(sol.theta), math.sin(sol.theta)
-    x1 = -0.5 * L1 + L1 / n1 * np.arange(n1)
-    x2 = -0.5 * L2 + L2 / n2 * np.arange(n2)
+    x1, x2 = cell_axes(L1, L2, n1, n2)
     s = e1 * x1[:, None] + e2 * x2[None, :]
     s_wrap = (s + sol.X) % (2.0 * sol.X) - sol.X
 

@@ -113,6 +113,19 @@ def test_solve_quartic_gradient_flow(capsys):
     assert json.loads(out)["residual"] <= 1e-8
 
 
+def test_solve_exits_2_when_spectrum_does_not_converge(monkeypatch, capsys):
+    # the preconditioner shift of 1 makes LOBPCG reach its iteration cap on
+    # the case of test_stability_converges_at_spectrum_edge
+    from pndislo import solver
+    monkeypatch.setattr(solver, "PRECOND_SHIFT", 1.0)
+    code, out, _ = run(["solve", "--case", "II", "--nu", "0.25", "--delta",
+                        "2", "--X", "200", "--N", "4096"], capsys)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    rep = json.loads(out)
+    assert rep["stats"]["lobpcg_converged"] is False
+    assert rep["residual"] <= 1e-10
+
+
 def test_extend_quick(capsys):
     code, out, _ = run(["extend", "--orientation", "perp", "--nu",
                         "0.25", "--n", "8", "--n2", "20"], capsys)
@@ -122,12 +135,19 @@ def test_extend_quick(capsys):
     assert rep["decay_rate"] > 0.0
 
 
+def test_extend_rejects_nyquist_mode(capsys):
+    code, _, err = run(["extend", "--orientation", "perp", "--nu", "0.25",
+                        "--delta", "1.5", "--n", "8", "--m1", "4"], capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert "Nyquist" in json.loads(err)["error"]
+
+
 def test_extend_prints_stats(capsys):
     code, out, _ = run(["extend", "--orientation", "parallel", "--nu",
                         "0.25", "--n", "8", "--n2", "20"], capsys)
     assert code == 0
     stats = json.loads(out)["stats"]
-    assert stats["frequencies"] == 63
+    assert stats["frequencies"] == 39      # the 8 x 5 half spectrum
     assert stats["sign_iterations"] >= 1
     assert stats["spectrum_mismatch"] <= 1e-10
 

@@ -333,7 +333,10 @@ def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
     J = _jump(orientation)
     t = _t_diag(orientation)
     n1, n2 = boundary_a.shape
-    ka, kb = boundary_a.kgrid()
+    # the full fft2 layout, every +-k pair computed on its own
+    ka, kb = np.meshgrid(
+        2 * np.pi * np.fft.fftfreq(n1, d=boundary_a.L1 / n1),
+        2 * np.pi * np.fft.fftfreq(n2, d=boundary_a.L2 / n2), indexing="ij")
     ua_hat = np.fft.fft2(boundary_a.values)
     ub_hat = np.fft.fft2(boundary_b.values)
     x_normal = np.sort(np.asarray(x_normal, dtype=float))
@@ -352,7 +355,7 @@ def _extend_reference(orientation, ec, boundary_a, boundary_b, x_normal):
                 continue
             D_decay, D_grow = _reference_generators(orientation, ec, k1, k2)
             sys = extension.HalfSpaceSystem(orientation, (k1, k2), None,
-                                            D_decay, D_grow)
+                                            D_decay)
             up[normal_idx] = extension.normal_closure(sys, ec, ua_hat[i, j],
                                                       ub_hat[i, j])
             for n, xn in enumerate(x_normal):
@@ -393,6 +396,45 @@ def test_extend_matches_per_sample_reference(orientation, ec, x_normal):
     ref = _extend_reference(orientation, ec, ua, ub, x_normal)
     assert np.array_equal(fld.x_normal, np.sort(x_normal))
     assert np.max(np.abs(fld.u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_extend_rejects_nyquist_content():
+    # the grid holds only the even part of a Nyquist mode, which then has
+    # no consistent extension; band-limited data on the same grid extends
+    L, n = 2 * np.pi, 8
+    rng = np.random.default_rng(2)
+    zero = GridField2D(L, L, np.zeros((n, n)))
+    noise = GridField2D(L, L, rng.standard_normal((n, n)))
+    for orientation, ec in (("perp", ISO), ("parallel", ISO),
+                            ("perp", PERP2)):
+        for f in (lambda x, y: np.cos(4 * x) + 0 * y,
+                  lambda x, y: np.cos(x + 4 * y)):
+            ua = GridField2D.from_function(L, L, n, n, f)
+            with pytest.raises(ValueError, match="Nyquist"):
+                extension.extend(orientation, ec, ua, zero, [0.0, 0.5])
+        with pytest.raises(ValueError, match="Nyquist"):
+            extension.extend(orientation, ec, zero, noise, [0.0, 0.5])
+        ua, ub = _smooth_field(rng, n, L), _smooth_field(rng, n, L)
+        fld = extension.extend(orientation, ec, ua, ub,
+                               0.1 * np.arange(-20, 21))
+        slip = (0, 2) if orientation == "perp" else (0, 1)
+        assert np.max(np.abs(fld.u[slip, 20] - [ua.values, ub.values])) \
+            <= 1e-13
+        assert extension.interior_residual(fld) <= 1e-4   # as pndislo extend
+
+
+def test_extend_realness_check_fires(monkeypatch):
+    # +-k1 pairs of the k2 = 0 column are propagated independently; a
+    # normal closure that breaks conjugate symmetry must be caught
+    closure = extension.normal_closure
+    monkeypatch.setattr(extension, "normal_closure",
+                        lambda *a: closure(*a) * (1.0 + 0.1j))
+    L = 2 * np.pi
+    ua = GridField2D.from_function(L, L, 8, 8,
+                                   lambda x, y: np.cos(2 * x) + 0 * y)
+    zero = GridField2D(L, L, np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="not real"):
+        extension.extend("perp", ISO, ua, zero, [0.0, 0.5, -0.5])
 
 
 def test_extend_near_delta_one():
@@ -440,9 +482,10 @@ def test_closed_form_matches_expm(orientation, ec, k1, k2):
     xs = np.concatenate([x_switch * np.array([0.3, 0.99, 1.01, 3.0]),
                          [0.05, 0.7, 2.5]])
     t = _t_diag(orientation)
+    D_grow = _reference_generators(orientation, ec, k1, k2)[1]
     for x in xs:
         for B, D, xn in ((sys.bplus, sys.D_decay, x),
-                         (sys.bminus, sys.D_grow, -x)):
+                         (sys.bminus, D_grow, -x)):
             ref = scipy.linalg.expm(D * xn) * (t / t[:, None])
             assert np.max(np.abs(B(xn) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -461,7 +504,7 @@ def test_sign_iteration_cap_raises(monkeypatch):
                                             ("parallel", ANISO)])
 def test_extend_reports_stats(orientation, ec):
     fld = _single_mode_field(orientation=orientation, ec=ec, n=16, x_max=1.0)
-    assert fld.stats["frequencies"] == 16 * 16 - 1
+    assert fld.stats["frequencies"] == 16 * 9 - 1     # the half spectrum
     assert 1 <= fld.stats["sign_iterations"] <= extension.SIGN_ITER_MAX
     assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pndislo import kernels
+from pndislo import kernels, regions
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
                             perp_from_parameters)
 
@@ -128,6 +128,26 @@ def test_circle_min_exact_critical_values():
     (z,) = kernels._zeta_candidates(kf, dp)
     assert 0.1 < z < 0.5 * np.pi - 0.1
     assert kernels.circle_min(kf, dp) == (z, float(kf(np.cos(z), np.sin(z))))
+
+
+def test_circle_min_skips_the_zero_of_p_below_nu_minus_one():
+    # c < 0: P vanishes at theta = 1.41432, where float evaluation is noise
+    # and a guard angle used to lead the zoom to K = -6.4e9; away from it,
+    # K >= 0.193 (at theta = 0) and the cell is a member
+    dp = perp_from_parameters(1.0, -1.0290082670616292, 0.7509458979275522)
+    assert dp.c < 0.0
+    kf = kernels.kernel_case1(dp)
+    zeros = kernels._p_zeros(kf)
+    assert zeros[0] == pytest.approx(1.41432, abs=1e-5)
+    assert sum(zeros) == pytest.approx(np.pi, rel=1e-15)
+    th = np.linspace(0.0, np.pi, 20001)
+    th = th[np.all([np.abs(th - z) > 1e-3 for z in zeros], axis=0)]
+    clear = float(np.min(kf(np.cos(th), np.sin(th))))
+    t, v = kernels.circle_min(kf, dp)
+    assert v == pytest.approx(clear, rel=1e-12) and v > 0.19
+    assert regions.case("I").member(dp) is True
+    # c > 0: no zero to skip
+    assert kernels._p_zeros(kernels.kernel_case1(DP_ANISO)) == ()
 
 
 def test_circle_min_guard_finds_interior_minimum_without_params():

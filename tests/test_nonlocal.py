@@ -43,6 +43,12 @@ def test_axes_and_kgrid_layout():
     k1, k2 = f.kgrid()
     assert k1[0, 0] == 0.0
     assert k1[1, 0] == pytest.approx(2 * np.pi / L, rel=1e-15)
+    # the rfft2 half spectrum: k2 >= 0, ending at +pi n2/L2
+    g = GridField2D(20.0, 60.0, np.zeros((32, 16)))
+    k1, k2 = g.kgrid()
+    assert k1.shape == k2.shape == (32, 9)
+    assert k2[0, -1] == pytest.approx(np.pi * 16 / 60.0, rel=1e-15)
+    assert k1[16, 0] == pytest.approx(-np.pi * 32 / 20.0, rel=1e-15)
 
 
 def test_multiplier_on_single_mode_is_exact():
@@ -100,7 +106,7 @@ def _direct_sum_multiplier(kernel, field):
     th = (np.arange(N_THETA) + 0.5) * np.pi / N_THETA
     kv = kernel(np.cos(th), np.sin(th))
     k1, k2 = field.kgrid()
-    m = np.zeros(field.shape)
+    m = np.zeros(k1.shape)
     for kj, c, s in zip(kv, np.cos(th), np.sin(th)):
         m += kj * np.abs(k1 * c + k2 * s)
     return 0.5 * np.pi / N_THETA * m
@@ -131,9 +137,13 @@ def test_quadrature_multiplier_is_linear_and_symmetric():
     m = quadrature_multiplier(kernels.kernel_case2(DP), f)
     assert m[0, 0] == 0.0
     assert np.all(m >= 0.0)
-    # multiplier grids inherit the evenness of the kernel: m(k) = m(-k)
-    flipped = m[np.ix_((-np.arange(N)) % N, (-np.arange(N)) % N)]
-    assert flipped == pytest.approx(m, rel=1e-13)
+    # multiplier grids inherit the evenness of the kernel: m(k) = m(-k) on
+    # the pairs the half spectrum stores, +-k1 in the k2 = 0 column, and
+    # (k1, K) with (-k1, K) in the Nyquist column k2 = K, where -(k1, K)
+    # aliases (-k1, K)
+    assert m.shape == (N, N // 2 + 1)
+    flipped = m[(-np.arange(N)) % N][:, [0, -1]]
+    assert flipped == pytest.approx(m[:, [0, -1]], rel=1e-13)
 
 
 def test_operator_self_adjoint_and_positive():
@@ -173,6 +183,31 @@ def test_whole_cell_energy_single_mode():
     assert rep.potential_part == 0.0
     assert rep.total == rep.nonlocal_part
     assert rep.radius is None
+
+
+def test_whole_cell_energy_matches_full_spectrum_plancherel():
+    # non-square grid and cell, with content in column n2/2 - 1 (the last
+    # one weighted 2) and in the Nyquist row and column (weighted 1)
+    n1, n2, L1, L2 = 32, 16, 20.0, 60.0
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((n1, n2))
+    x2 = np.arange(n2) * (L2 / n2)
+    u += 3.0 * np.cos(2 * np.pi * (n2 // 2 - 1) * x2 / L2)[None, :]
+    f = GridField2D(L1, L2, u)
+
+    def sym(a, b):
+        return symbols.symbol_case2(DP_ANISO, a, b)
+
+    k1, k2 = np.meshgrid(2 * np.pi * np.fft.fftfreq(n1, d=L1 / n1),
+                         2 * np.pi * np.fft.fftfreq(n2, d=L2 / n2),
+                         indexing="ij")
+    k1[0, 0] = 1.0
+    m = sym(k1, k2)
+    m[0, 0] = 0.0
+    c = np.fft.fft2(u) / (n1 * n2)
+    full = 0.5 * float(np.sum(m * np.abs(c) ** 2)) * L1 * L2
+    assert energy(f, symbol=sym).nonlocal_part == pytest.approx(full,
+                                                                rel=1e-13)
 
 
 def test_whole_cell_energy_frozen_value():
