@@ -237,7 +237,7 @@ def _cmd_extend(args):
 
 def _cmd_verify(args):
     from .moduli import ElasticConstants, from_isotropic, \
-        perp_from_parameters, perp_to_constants
+        perp_from_parameters, perp_to_constants, stiffness, derive_parallel
     from . import kernels
     from .nonlocal_ops import GridField2D, apply_kernel_quadrature, \
         apply_multiplier
@@ -317,6 +317,17 @@ def _cmd_verify(args):
         e_ext = max(e_ext, float(np.max(e) / np.max(np.abs(ref))))
     checks["extension_identity"] = e_ext
     ok = ok and e_ext <= 1e-12
+
+    # dtn_parallel against the 3D traction map -2 sigma_sn(0+) of unit slip
+    # data (normal x3) at the last material above, (3, 1, 2.5, 1.2, 0.8)
+    U = np.eye(3, dtype=complex)[:, :2]
+    U[2] = extension.normal_closure(sys_, ec, U[0], U[1])
+    Cs = stiffness(ec)[:2, 2]                       # C_snkl, s on (x1, x2)
+    A = -2.0 * (Cs[..., 2] @ sys_.dbplus0() + 1j * Cs[..., :2] @ [k1, k2]) @ U
+    dtn = regions.case("III").dtn(derive_parallel(ec), k1, k2).as_array()
+    gap = float(np.max(np.abs(A - dtn)) / np.max(np.abs(dtn)))
+    checks["parallel_traction_map"] = gap
+    ok = ok and gap <= 1e-12
 
     checks["ok"] = bool(ok)
     _emit(checks)

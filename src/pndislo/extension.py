@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .moduli import ElasticConstants, derive_parallel, derive_perp, stiffness
-from .nonlocal_ops import GridField2D, cell_axes, wavenumbers
+from .nonlocal_ops import GridField2D, wavenumbers
 
 #: axis normal to the slip plane; x3 is the symmetry axis
 NORMAL_AXIS = {"perp": 1, "parallel": 2}
@@ -259,9 +259,6 @@ class Field3D:
     ec: ElasticConstants = dfield(repr=False, default=None)
     stats: dict = dfield(default_factory=dict)     # what `extend` computed
 
-    def slip_axes(self):
-        return cell_axes(self.L1, self.L2, *self.u.shape[2:])
-
     def tofile(self, path_bin: str, path_header: str):
         """Flat little-endian float64 dump plus a JSON header."""
         import json
@@ -399,16 +396,21 @@ def interior_residual(field: Field3D) -> float:
 def stress_strain(field: Field3D):
     """Strain and stress grids plus the elastic energy density.
 
-    Strains use centered differences (numpy.gradient: one-sided at the slip
-    plane and the outer faces, applied per half-space; a half-space with a
-    single normal sample is a ValueError); stress = C : strain.
-    Returns (strain, stress, density) with tensor index layout
-    [i, j, normal, slip1, slip2].
+    Slip-axis derivatives are spectral, one m x m matrix per slip axis (the
+    FFT derivative of the unit vectors, Nyquist wavenumber zeroed: `extend`
+    admits no Nyquist content); normal ones use numpy.gradient per half-space
+    (one-sided at the slip plane and the outer faces; a half-space with one
+    normal sample is a ValueError).  stress = C : strain.  Returns (strain,
+    stress, density), index layout [i, j, normal, slip1, slip2].
     """
     n, slip = _axes(field.orientation)[:2]
     grads = np.zeros((3, 3) + field.u.shape[1:])   # d u_k / d x_l at [k, l]
-    for a, (s, coord) in enumerate(zip(slip, field.slip_axes())):
-        grads[:, s] = np.gradient(field.u, coord, axis=2 + a)
+    for a, (s, L) in enumerate(zip(slip, (field.L1, field.L2))):
+        m = field.u.shape[2 + a]
+        ik = 2j * np.pi * np.fft.rfftfreq(m, d=L / m)[:, None]
+        # irfft drops the imaginary Nyquist term: the Nyquist mode gets 0
+        D = np.fft.irfft(ik * np.fft.rfft(np.eye(m), axis=0), m, axis=0)
+        grads[:, s] = D @ field.u if a == 0 else field.u @ D.T
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         if np.count_nonzero(half) == 1:
             raise ValueError("a half-space with one normal sample has no "

@@ -9,8 +9,8 @@ Two families of derived parameters are computed here:
 
 * the "perpendicular" set (mu, nu, delta, p, q, b, c), valid when the special
   algebraic condition  sqrt(C11 C33) - C13 - 2 C44 = 0  and  C11 = C33  holds;
-* the "parallel" set (tau, tau_tilde, theta1..3, eta1, eta2), defined for
-  any valid constants.
+* the "parallel" set (tau, theta1..3, eta1, eta2), defined for any valid
+  constants.
 
 `stiffness` gives the full tensor C_ijkl, with x3 the symmetry axis.
 """
@@ -84,20 +84,17 @@ class DerivedPerp:
 class DerivedParallel:
     """Derived parameters for the slip plane parallel to the isotropy plane.
 
-    theta2, theta3 are stored as complex numbers always; imaginary parts below
-    tolerance are truncated to zero for branch decisions downstream.
-    eta2_positive flags positive definiteness of the reduced operator matrix
-    (eta2 <= 0 is reported, not raised).
+    theta2, theta3 are complex (a conjugate pair or both real).  eta1 and
+    eta2 are the slip-plane tractions per |k| of the shear (k-perp) and the
+    longitudinal (k) slip modes, both positive for valid constants.
     """
 
     tau: float
-    tau_tilde: complex
     theta1: float
     theta2: complex
     theta3: complex
     eta1: float
     eta2: float
-    eta2_positive: bool
 
 
 def validate(ec: ElasticConstants) -> ValidationReport:
@@ -134,24 +131,23 @@ def from_isotropic(mu: float, nu: float) -> ElasticConstants:
     return ElasticConstants(lam * (1.0 - nu), lam * nu, lam * (1.0 - nu), mu, mu)
 
 
-def check_special_condition(ec: ElasticConstants,
-                            tol_rel: float = TOL_REL) -> tuple[bool, bool]:
-    """Test sqrt(C11 C33) - C13 - 2 C44 = 0 and C11 = C33 (relative tolerance).
+def check_special_condition(ec: ElasticConstants) -> tuple[bool, bool]:
+    """Test sqrt(C11 C33) - C13 - 2 C44 = 0 and C11 = C33 to TOL_REL.
 
     Comparisons are scaled by c44 resp. c11 so the test is unit invariant.
     """
     c11, c13, c33, c44, _ = ec.astuple()
-    cond_root = abs(math.sqrt(c11 * c33) - c13 - 2.0 * c44) <= tol_rel * c44
-    cond_equal = abs(c11 - c33) <= tol_rel * c11
+    cond_root = abs(math.sqrt(c11 * c33) - c13 - 2.0 * c44) <= TOL_REL * c44
+    cond_equal = abs(c11 - c33) <= TOL_REL * c11
     return cond_root, cond_equal
 
 
-def derive_perp(ec: ElasticConstants, tol_rel: float = TOL_REL) -> DerivedPerp:
+def derive_perp(ec: ElasticConstants) -> DerivedPerp:
     """Derived perpendicular-case parameters; requires the special condition."""
     rep = validate(ec)
     if not rep.valid:
         raise ValueError(f"elastic constants violate ellipticity: {rep}")
-    cond_root, cond_equal = check_special_condition(ec, tol_rel)
+    cond_root, cond_equal = check_special_condition(ec)
     if not (cond_root and cond_equal):
         raise ValueError(
             "special condition sqrt(C11 C33) - C13 - 2 C44 = 0, C11 = C33 "
@@ -182,9 +178,12 @@ def perp_to_constants(dp: DerivedPerp) -> ElasticConstants:
                             lam * (1.0 - dp.nu), dp.mu, dp.delta * dp.mu)
 
 
-def derive_parallel(ec: ElasticConstants,
-                    tol_rel: float = TOL_REL) -> DerivedParallel:
-    """Derived parallel-case parameters (eta1, eta2, characteristic roots)."""
+def derive_parallel(ec: ElasticConstants) -> DerivedParallel:
+    """Derived parallel-case parameters (eta1, eta2, characteristic roots).
+
+    eta2 = (C11 - C13^2/C33)/tau is twice the energy factor of a basal edge
+    dislocation; it is positive because C13^2 < C33 (C11 - C66) < C11 C33.
+    """
     rep = validate(ec)
     if not rep.valid:
         raise ValueError(f"elastic constants violate ellipticity: {rep}")
@@ -194,33 +193,16 @@ def derive_parallel(ec: ElasticConstants,
     alpha = c33 / c44
     beta = c11 / c44
     gamma = 1.0 + alpha * beta - (c13 / c44 + 1.0) ** 2
-    delta_ratio = c66 / c44
 
-    # tau is real by ellipticity (root - c13 > 0 and root + c13 + 2 c44 > 0);
-    # tau_tilde may be imaginary when root - c13 - 2 c44 < 0.
+    # tau is real by ellipticity (root - c13 > 0 and root + c13 + 2 c44 > 0)
     tau = math.sqrt(root - c13) * math.sqrt(root + c13 + 2.0 * c44) \
         / (2.0 * math.sqrt(c33 * c44))
-    inner = complex(root - c13 - 2.0 * c44)
-    tau_tilde = (math.sqrt(root + c13) * inner ** 0.5
-                 / (2.0 * math.sqrt(c33 * c44)))
-
     eta1 = 2.0 * math.sqrt(c44 * c66)
-    eta2 = (c11 - c13 - c44 + c13 * c44 / c33
-            + root * (c33 - c13) * (c44 + c13) / c33 ** 2) / tau
+    eta2 = (c11 - c13 * c13 / c33) / tau
 
-    theta1 = math.sqrt(delta_ratio)
+    theta1 = math.sqrt(c66 / c44)
     disc = complex(gamma * gamma - 4.0 * alpha * beta) ** 0.5
     theta2 = ((gamma + disc) / (2.0 * alpha)) ** 0.5
     theta3 = ((gamma - disc) / (2.0 * alpha)) ** 0.5
-    # truncate negligible imaginary parts for branch decisions downstream
-    scale = abs(theta2) + abs(theta3)
-    if abs(theta2.imag) <= tol_rel * scale:
-        theta2 = complex(theta2.real, 0.0)
-    if abs(theta3.imag) <= tol_rel * scale:
-        theta3 = complex(theta3.real, 0.0)
-    if abs(tau_tilde.imag) <= tol_rel * (abs(tau_tilde) + tau):
-        tau_tilde = complex(tau_tilde.real, 0.0)
-
-    return DerivedParallel(tau=tau, tau_tilde=tau_tilde, theta1=theta1,
-                           theta2=theta2, theta3=theta3,
-                           eta1=eta1, eta2=eta2, eta2_positive=eta2 > 0.0)
+    return DerivedParallel(tau=tau, theta1=theta1, theta2=theta2,
+                           theta3=theta3, eta1=eta1, eta2=eta2)

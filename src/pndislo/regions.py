@@ -117,11 +117,11 @@ def in_region_case2(nu: float, delta: float) -> bool:
 
 
 def _member_case3(dpar: DerivedParallel) -> bool:
-    return dpar.eta2 > 0.0 and 2.0 / 3.0 < dpar.eta1 / dpar.eta2 < 1.5
+    return 2.0 / 3.0 < dpar.eta1 / dpar.eta2 < 1.5
 
 
 def in_region_case3(ec: ElasticConstants) -> bool:
-    """eta2 > 0 and 2/3 < eta1/eta2 < 3/2, strict."""
+    """2/3 < eta1/eta2 < 3/2, strict (eta2 > 0 for valid constants)."""
     return validate(ec).valid and _member_case3(derive_parallel(ec))
 
 

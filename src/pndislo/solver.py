@@ -131,7 +131,6 @@ class ProfileSolution:
     in_region: bool
     potential: Potential
     lambda_min: Optional[float] = None
-    eigenvalues: Optional[np.ndarray] = dfield(default=None, repr=False)
     params: object = dfield(default=None, repr=False)
     #: run record: flow_steps, newton_steps, centering_passes from
     #: solve_profile; lobpcg_iterations, lobpcg_residual, lobpcg_converged
@@ -210,8 +209,8 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             history.append(res)
             if res < target:
                 return True
-            nl = half_lap_phi + pot.dw(phi + v) / m_e
-            v = _multiply(1.0 / (1.0 + dt * absk), v - dt * nl)
+            # (1 + dt|k|) v+ = v - dt (F - |k| v), with F the residual at v
+            v = v - dt * _multiply(1.0 / (1.0 + dt * absk), F)
             stats["flow_steps"] += 1
         _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
         history.append(res)
@@ -307,8 +306,7 @@ def _zero_crossing(x, psi):
     return x0 - f0 * (x1 - x0) / (f1 - f0) if f1 != f0 else x0
 
 
-def check_stability(sol: ProfileSolution, n_eig: int = 6,
-                    seed: int = 0) -> np.ndarray:
+def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     """Smallest eigenvalues of the linearized operator at the profile.
 
     The quadratic form is v -> <(-Delta)^(1/2) v + (W''(psi)/m) v, v> on the
@@ -317,9 +315,9 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6,
     vectors.  Far from the core W''(psi)/m tends to sigma = min W''(+-1)/m,
     the edge of the continuous spectrum, where the next eigenvalues cluster.
     The preconditioner (|k| + c)^-1, c = PRECOND_SHIFT * sigma (> 0 for every
-    Potential), acts as a shift-invert just below that edge.  Results are
-    stored on the solution (lambda_min, eigenvalues; LOBPCG iterations, final
-    largest residual norm and convergence in stats).
+    Potential), acts as a shift-invert just below that edge.  Returns the
+    sorted eigenvalues; stores lambda_min on the solution and the LOBPCG
+    iterations, final largest residual norm and convergence in its stats.
     """
     N, X = sol.N, sol.X
     absk = _kgrid(N, X)[:, None]
@@ -339,7 +337,7 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6,
 
     A = LinearOperator((N, N), matvec=matvec, matmat=matvec, dtype=float)
     M = LinearOperator((N, N), matvec=pinv, matmat=pinv, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     X0 = np.empty((N, n_eig))
     tr = sol.psi_prime()
     X0[:, 0] = tr / np.linalg.norm(tr)
@@ -351,7 +349,6 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6,
         vals, vecs = lobpcg(A, X0, M=M, largest=False, tol=tol, maxiter=400)
     res = float(np.max(np.linalg.norm(matvec(vecs) - vecs * vals, axis=0)))
     vals = np.sort(vals)
-    sol.eigenvalues = vals
     sol.lambda_min = float(vals[0])
     sol.stats.update(lobpcg_iterations=calls, lobpcg_residual=res,
                      lobpcg_converged=res <= tol)

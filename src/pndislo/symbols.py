@@ -126,15 +126,22 @@ def symbol_lower_constant(dp: DerivedPerp) -> float:
     return min(1.0, dp.p) / (max(1.0, dp.delta ** -0.5) + max(0.0, -dp.nu))
 
 
-def symbol_upper_constant(dp: DerivedPerp, case: int = 1,
-                          n_theta: int = 4096) -> float:
-    """sup over the unit circle of m(k)/(mu r2): the constant in the upper
-    symbol bound (not given in closed form; computed numerically).  `case`
-    is 1 or 2; ValueError otherwise."""
+def symbol_upper_constant(dp: DerivedPerp, case: int = 1) -> float:
+    """max over the unit circle of m(k)/(mu |k|), in closed form; `case` is
+    1 or 2, ValueError otherwise.  With c = cos^2 theta, case II is a Moebius
+    function of c: max(2, 2/q), at c = 1 or 0.  Case I is critical where
+    (p - 1) s^2 + 2 nu s + p/delta - 1 = 0, s = r1 = sqrt(c + (1 - c)/delta),
+    so its maximum is at s = 1/sqrt(delta) (c = 0), s = 1 (c = 1) or a real
+    root between them."""
     if case not in (1, 2):
         raise ValueError(f"upper constant is defined for case 1 or 2, "
                          f"got {case!r}")
-    th = np.linspace(0.0, np.pi, n_theta, endpoint=False) + 1e-9
-    k1, k3 = np.cos(th), np.sin(th)
-    m = symbol_case1(dp, k1, k3) if case == 1 else symbol_case2(dp, k1, k3)
-    return float(np.max(m) / dp.mu)
+    if case == 2:
+        return max(2.0, 2.0 / dp.q)
+    lo, hi = sorted((dp.delta ** -0.5, 1.0))
+    s = np.roots([dp.p - 1.0, 2.0 * dp.nu, dp.p / dp.delta - 1.0])
+    s = s.real[np.isreal(s) & (lo < s.real) & (s.real < hi)]
+    c = np.clip(np.r_[0.0, 1.0, (dp.delta * s * s - 1.0) / (dp.delta - 1.0)],
+                0.0, 1.0)
+    m = symbol_case1(dp, np.sqrt(c), np.sqrt(1.0 - c))
+    return float(np.max(m)) / dp.mu

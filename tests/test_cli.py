@@ -159,6 +159,7 @@ def test_verify_passes(capsys):
     assert rep["ok"] is True
     assert rep["duality"] <= 1e-3
     assert rep["region_mismatches"] == 0
+    assert rep["parallel_traction_map"] <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [["--threads", "2", "verify"],

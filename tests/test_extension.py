@@ -8,7 +8,7 @@ from pndislo import extension, symbols
 from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
                             from_isotropic, perp_from_parameters,
                             perp_to_constants, stiffness)
-from pndislo.nonlocal_ops import GridField2D
+from pndislo.nonlocal_ops import GridField2D, cell_axes
 
 ISO = from_isotropic(1.0, 0.25)
 ANISO = ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8)   # complex parallel roots
@@ -130,7 +130,7 @@ def test_extension_interior_residual_small():
 def test_extension_boundary_values_match():
     fld = _single_mode_field()
     i0 = np.nonzero(fld.x_normal == 0.0)[0][0]
-    a, b = fld.slip_axes()
+    a, b = cell_axes(fld.L1, fld.L2, *fld.u.shape[2:])
     assert fld.u[0, i0] == pytest.approx(
         np.cos(2 * a)[:, None] * np.ones_like(b)[None, :], abs=1e-12)
 
@@ -207,6 +207,32 @@ def test_stress_strain_uniaxial_oracle():
     assert stress[0, 0, mid] == pytest.approx(c12 * s, rel=1e-10)
     assert stress[2, 2, mid] == pytest.approx(c13 * s, rel=1e-10)
     assert density[mid] == pytest.approx(0.5 * c11 * s * s, rel=1e-10)
+
+
+@pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
+                                            ("parallel", ANISO)])
+def test_stress_strain_slip_derivatives_are_spectral(orientation, ec):
+    # extend is linear and commutes with slip shifts, so the slip derivative
+    # of extend(cos k.x) is -k_s extend(sin k.x); at 8^2, |m| = 3 is the
+    # highest mode below Nyquist
+    L1, L2, n = 2 * np.pi, 3.0, 8
+    k = (3 * 2 * np.pi / L1, -3 * 2 * np.pi / L2)
+    xn = np.linspace(-1.0, 1.0, 21)
+
+    def field(f):
+        def g(amp):
+            return GridField2D.from_function(
+                L1, L2, n, n, lambda x, y: amp * f(k[0] * x + k[1] * y))
+        return extension.extend(orientation, ec, g(1.0), g(-0.4), xn)
+
+    strain = extension.stress_strain(field(np.cos))[0]
+    u = field(np.sin).u
+    sa, sb = (a for a in range(3) if a != extension.NORMAL_AXIS[orientation])
+    expect = {(sa, sa): -k[0] * u[sa], (sb, sb): -k[1] * u[sb],
+              (sa, sb): -0.5 * (k[0] * u[sb] + k[1] * u[sa])}
+    scale = np.max(np.abs(strain))
+    for (i, j), e in expect.items():
+        assert np.max(np.abs(strain[i, j] - e)) <= 1e-12 * scale
 
 
 def test_stress_strain_rejects_single_normal_sample():
@@ -509,25 +535,97 @@ def test_extend_reports_stats(orientation, ec):
     assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
 
 
+def _traction_map(orientation, ec, k):
+    """-2 sigma_sn(0+) for unit slip data, with u_n from normal_closure and
+    d_n = dbplus0(): the 3D slip-plane traction map, columns the slip axes."""
+    C = stiffness(ec)
+    n = extension.NORMAL_AXIS[orientation]
+    slip = [a for a in range(3) if a != n]
+    sys = extension.build_halfspace(orientation, ec, *k)
+    A = np.zeros((2, 2), dtype=complex)
+    for col, s in enumerate(slip):
+        u = np.zeros(3, dtype=complex)
+        u[s] = 1.0
+        u[n] = extension.normal_closure(sys, ec, u[slip[0]], u[slip[1]])
+        grad = np.zeros((3, 3), dtype=complex)      # d_l u_k at [k, l]
+        grad[:, n] = sys.dbplus0() @ u
+        grad[:, slip] = 1j * np.outer(u, k)
+        A[:, col] = -2.0 * np.tensordot(C, grad, 2)[slip, n]
+    return A
+
+
+def _barnett_lothe(orientation, ec, k, n_omega=4096):
+    """Independent oracle (Barnett-Lothe integral formalism): with m = k/|k|,
+    n the slip normal, m(w) = m cos w + n sin w, n(w) = -m sin w + n cos w
+    and (ab)_jk = a_i C_ijkl b_l, the traction map is 2|k| 4 pi B,
+    B = (1/8 pi^2) int_0^2pi [(mm) - (mn)(nn)^-1(nm)] dw, on the slip axes.
+    Midpoint rule, one 3x3 solve per angle."""
+    C = stiffness(ec)
+    n = extension.NORMAL_AXIS[orientation]
+    slip = [a for a in range(3) if a != n]
+    kk = np.hypot(*k)
+    m, nv = np.zeros(3), np.eye(3)[n]
+    m[slip] = np.asarray(k) / kk
+    w = (np.arange(n_omega) + 0.5) * 2.0 * np.pi / n_omega
+    mw = np.outer(np.cos(w), m) + np.outer(np.sin(w), nv)
+    nw = -np.outer(np.sin(w), m) + np.outer(np.cos(w), nv)
+
+    def ab(a, b):
+        return np.einsum("wi,ijkl,wl->wjk", a, C, b)
+
+    Q = ab(mw, mw) - ab(mw, nw) @ np.linalg.solve(ab(nw, nw), ab(nw, mw))
+    return (2.0 * kk * Q.mean(axis=0))[np.ix_(slip, slip)]
+
+
+def _random_parallel(rng):
+    """A random valid material with C11 != C33."""
+    c44, c66 = rng.uniform(0.3, 2.0, 2)
+    c11, c33 = c66 + rng.uniform(0.2, 3.0), rng.uniform(0.5, 4.0)
+    c13 = rng.uniform(-0.95, 0.95) * np.sqrt(c33 * (c11 - c66))
+    return ElasticConstants(c11, c13, c33, c44, c66)
+
+
+def _random_perp(rng):
+    """A random material satisfying the perpendicular special condition."""
+    delta = rng.uniform(0.1, 3.9)
+    lo = max(1.0 - 2.0 / delta, -0.9)
+    return perp_to_constants(perp_from_parameters(
+        rng.uniform(0.5, 2.0), lo + rng.uniform(0.02, 0.98) * (0.5 - lo),
+        delta))
+
+
+@pytest.mark.parametrize("orientation,material",
+                         [("perp", _random_perp),
+                          ("parallel", _random_parallel)])
+def test_traction_map_matches_barnett_lothe(orientation, material):
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        ec = material(rng)
+        for k in rng.standard_normal((3, 2)):
+            oracle = _barnett_lothe(orientation, ec, k)
+            A = _traction_map(orientation, ec, k)
+            assert np.max(np.abs(A - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_dtn_parallel_matches_traction_map_anisotropic():
+    # eta2 = (C11 - C13^2/C33)/tau; any C11 != C33 tells it from expressions
+    # that agree only on isotropic media
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ec = _random_parallel(rng)
+        k = rng.standard_normal(2)
+        dtn = symbols.dtn_parallel(derive_parallel(ec), *k).as_array()
+        A = _traction_map("parallel", ec, k)
+        assert np.max(np.abs(A - dtn)) <= 1e-12 * np.max(np.abs(dtn))
+
+
 @pytest.mark.parametrize("orientation", ["perp", "parallel"])
 @pytest.mark.parametrize("mu,nu", [(1.0, 0.25), (1.3, -0.2), (0.7, 0.45)])
 def test_traction_map_matches_dtn_isotropic(orientation, mu, nu):
-    # -2 sigma_sn(0+) for unit slip data, with u_n from normal_closure and
-    # d_n = dbplus0(), is the DtN matrix of `symbols` for isotropic media
+    # the 3D map is the DtN matrix of `symbols` for isotropic media
     ec = from_isotropic(mu, nu)
-    C = stiffness(ec)
-    n, slip = (1, [0, 2]) if orientation == "perp" else (2, [0, 1])
     for k in [(0.6, 0.8), (1.3, -0.4), (0.0, 2.0), (-3.0, 0.5)]:
-        sys = extension.build_halfspace(orientation, ec, *k)
-        A = np.zeros((2, 2), dtype=complex)
-        for col, s in enumerate(slip):
-            u = np.zeros(3, dtype=complex)
-            u[s] = 1.0
-            u[n] = extension.normal_closure(sys, ec, u[slip[0]], u[slip[1]])
-            grad = np.zeros((3, 3), dtype=complex)      # d_l u_k at [k, l]
-            grad[:, n] = sys.dbplus0() @ u
-            grad[:, slip] = 1j * np.outer(u, k)
-            A[:, col] = -2.0 * np.tensordot(C, grad, 2)[slip, n]
+        A = _traction_map(orientation, ec, k)
         dtn = (symbols.dtn_perp(derive_perp(ec), *k) if orientation == "perp"
                else symbols.dtn_parallel(derive_parallel(ec), *k)).as_array()
         assert np.max(np.abs(A - dtn)) <= 1e-13 * np.max(np.abs(dtn))

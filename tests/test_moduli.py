@@ -100,20 +100,16 @@ def test_derive_parallel_reference_values():
     assert dpar.eta2 == pytest.approx(8.0 / 3.0, rel=1e-14)
     assert dpar.eta1 / dpar.eta2 == pytest.approx(0.75, rel=1e-14)
     assert dpar.tau == pytest.approx(1.0, rel=1e-14)
-    assert dpar.tau_tilde == 0.0
     assert dpar.theta1 == pytest.approx(1.0, rel=1e-14)
     assert dpar.theta2 == pytest.approx(1.0, rel=1e-12)
     assert dpar.theta3 == pytest.approx(1.0, rel=1e-12)
-    assert dpar.eta2_positive
 
 
 def test_derive_parallel_complex_branch():
-    # sqrt(C11 C33) - C13 - 2 C44 < 0 makes tau_tilde imaginary and the
-    # characteristic roots a conjugate pair
+    # sqrt(C11 C33) - C13 - 2 C44 < 0 makes the characteristic roots a
+    # conjugate pair
     dpar = moduli.derive_parallel(
         moduli.ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))
-    assert abs(dpar.tau_tilde.real) <= 1e-12 * abs(dpar.tau_tilde)
-    assert dpar.tau_tilde.imag != 0.0
     assert dpar.theta2.imag != 0.0
     assert complex(dpar.theta2) == pytest.approx(
         complex(np.conj(dpar.theta3)), rel=1e-12)
@@ -130,6 +126,22 @@ def test_derive_parallel_isotropic_oracle(mu, nu):
     assert dpar.eta2 == pytest.approx(2.0 * mu / (1.0 - nu), rel=1e-10)
     for th in (dpar.theta1, dpar.theta2, dpar.theta3):
         assert complex(th) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [(3.0, 1.0, 2.5, 1.2, 0.8),
+                               (2.0, 0.5, 4.0, 1.5, 0.5),
+                               (5.0, -1.0, 2.0, 1.0, 2.5)])
+def test_eta2_is_twice_the_basal_edge_energy_factor(c):
+    # textbook energy factor of a basal edge dislocation in a transversely
+    # isotropic medium, Cb = sqrt(C11 C33):
+    # (Cb + C13) sqrt(C44 (Cb - C13) / (C33 (Cb + C13 + 2 C44)))
+    c11, c13, c33, c44, _ = c
+    cb = np.sqrt(c11 * c33)
+    factor = (cb + c13) * np.sqrt(c44 * (cb - c13)
+                                  / (c33 * (cb + c13 + 2.0 * c44)))
+    dpar = moduli.derive_parallel(moduli.ElasticConstants(*c))
+    assert dpar.eta2 == pytest.approx(2.0 * factor, rel=1e-14)
+    assert dpar.eta1 == pytest.approx(2.0 * np.sqrt(c[3] * c[4]), rel=1e-15)
 
 
 def test_derive_parallel_rejects_invalid():

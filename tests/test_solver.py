@@ -151,6 +151,27 @@ def test_stiff_gradient_flow_agrees_with_newton():
     assert np.max(np.abs(a.psi - b.psi)) <= 1e-7
 
 
+def test_flow_step_evaluates_dw_once():
+    # W' enters only through the residual: once per flow step, once per
+    # converged flow pass (one more than the centering passes) and once for
+    # the final residual
+    base = solver.Potential.quartic(1.0)
+    calls = 0
+
+    def dw(u):
+        nonlocal calls
+        calls += 1
+        return base.dw(u)
+
+    pot = solver.Potential("counting", 1.0, base.w, dw, base.d2w)
+    calls = 0
+    sol = solver.solve_profile("II", DP, potential=pot, X=50.0, N=1024,
+                               method="gradient-flow")
+    st = sol.stats
+    assert st["flow_steps"] > 10
+    assert calls == st["flow_steps"] + st["centering_passes"] + 2
+
+
 def test_cosine_oracle_monotone_everywhere():
     sol = solver.solve_profile("I", DP2, X=100.0, N=2048)
     assert np.all(np.diff(sol.psi) > 0.0)

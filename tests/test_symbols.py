@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pndislo import symbols
@@ -141,6 +141,26 @@ def test_upper_constant_dominates_circle():
         fn = symbols.symbol_case1 if case == 1 else symbols.symbol_case2
         m = fn(DP_ANISO, np.cos(th), np.sin(th))
         assert np.all(m <= C * DP_ANISO.mu * (1 + 1e-9))
+
+
+# a dense angle grid on [0, pi/2]; both symbols depend on cos^2 theta only
+DENSE = np.linspace(0.0, 0.5 * np.pi, 100_001)
+
+
+# the examples put a real root of the case-I quadratic strictly inside the
+# s interval, on both sides of delta = 1
+@example(delta=1.5, frac=(0.18 + 1 / 3) / (0.5 + 1 / 3))
+@example(delta=0.5, frac=(-0.49 + 3.0) / 3.5)
+@given(delta=st.floats(0.02, 3.98), frac=st.floats(0.001, 0.999))
+@settings(max_examples=60, deadline=None)
+def test_upper_constant_is_max_over_dense_grid(delta, frac):
+    lo = 1.0 - 2.0 / delta
+    dp = perp_from_parameters(1.0, lo + frac * (0.5 - lo), delta)
+    for case, fn in ((1, symbols.symbol_case1), (2, symbols.symbol_case2)):
+        C = symbols.symbol_upper_constant(dp, case=case)
+        grid = float(np.max(fn(dp, np.cos(DENSE), np.sin(DENSE))))
+        assert C >= grid * (1.0 - 4e-16)
+        assert C <= grid * (1.0 + 1e-12)
 
 
 def test_upper_constant_rejects_other_cases():
