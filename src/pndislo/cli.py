@@ -150,11 +150,11 @@ def _cmd_symbol(args):
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise _ArgumentError("k must be nonzero")
     params = c.derive(ec)
-    mat = c.dtn(params, args.k1, args.k2)
+    (a11, a12), (a21, a22) = c.dtn(params, args.k1, args.k2).tolist()
     _emit({"case": c.name, "k1": args.k1, "k2": args.k2,
            "m": float(c.symbol(params, args.k1, args.k2)),
-           "dtn": {"a11": mat.a11, "a12": mat.a12,
-                   "a21": mat.a21, "a22": mat.a22, "det": mat.det}})
+           "dtn": {"a11": a11, "a12": a12, "a21": a21, "a22": a22,
+                   "det": a11 * a22 - a12 * a21}})
     return EXIT_OK
 
 
@@ -162,7 +162,7 @@ def _cmd_kernel(args):
     from . import kernels
     c = regions.case(args.case)
     params = c.derive(_material_constants(args))
-    kf = kernels.build_kernel(c.name, params)
+    kf = c.kernel(params)
     th, kv = kernels.circle_profile(kf, n_theta=args.n_theta)
     tmin, kmin = kernels.circle_min(kf, params)
     if args.out:
@@ -246,9 +246,10 @@ def _cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     checks = {}
 
+    iso = from_isotropic(1.0, 0.25)
     case1, case2 = regions.case("I"), regions.case("II")
-    dp = case1.derive(from_isotropic(1.0, 0.25))
-    dpar = regions.case("III").derive(from_isotropic(1.0, 0.25))
+    dp = case1.derive(iso)
+    dpar = regions.case("III").derive(iso)
 
     # kernel PDE residuals on a few circle points
     th = np.linspace(0.05, np.pi / 2 - 0.05, 10)
@@ -261,25 +262,24 @@ def _cmd_verify(args):
     checks["kernel_pde_residual"] = worst
     ok = worst <= 1e-6
 
-    # symbol consistency: case-I/II scalar symbols vs matrix entries
+    # each scalar symbol is the Schur complement of its DtN matrix on the
+    # slip component
     ks = rng.standard_normal((2, 200))
     mat_err = 0.0
-    for k1, k2 in ks.T:
-        if k1 == 0 and k2 == 0:
-            continue
-        m = case1.dtn(dp, k1, k2)
-        m1 = case1.symbol(dp, k1, k2)
-        m2 = case2.symbol(dp, k1, k2)
-        mat_err = max(mat_err,
-                      abs(m.det / m.a22 - m1) / abs(m1),
-                      abs(m.det / m.a11 - m2) / abs(m2))
+    for c in regions.CASES.values():
+        params = c.derive(iso)
+        a = c.dtn(params, *ks)
+        s, f = c.slip, 1 - c.slip
+        schur = a[..., s, s] - a[..., s, f] * a[..., f, s] / a[..., f, f]
+        m = c.symbol(params, *ks)
+        mat_err = max(mat_err, float(np.max(np.abs(schur - m) / np.abs(m))))
     checks["symbol_vs_matrix"] = mat_err
     ok = ok and mat_err <= 1e-12
 
     # kernel-symbol duality at modest resolution
     f = GridField2D.from_function(30.0, 30.0, 128, 128,
                                   lambda x, y: np.exp(-(x * x + y * y) / 4))
-    q = apply_kernel_quadrature(kernels.build_kernel("II", dp), f)
+    q = apply_kernel_quadrature(case2.kernel(dp), f)
     s = apply_multiplier(lambda a, b: case2.symbol(dp, a, b), f)
     dual = float(np.max(np.abs(q.values - s.values))
                  / np.max(np.abs(s.values)))
@@ -294,7 +294,7 @@ def _cmd_verify(args):
         if not regions.in_ellipticity_strip(nu, delta):
             continue
         dpx = perp_from_parameters(1.0, nu, delta)
-        _, kmin = kernels.circle_min(kernels.build_kernel("I", dpx), dpx)
+        _, kmin = kernels.circle_min(case1.kernel(dpx), dpx)
         member = case1.member(dpx)
         if abs(kmin) > 1e-6 * (1 + abs(kmin)) and member != (kmin > 0):
             bad += 1
@@ -324,7 +324,7 @@ def _cmd_verify(args):
     U[2] = extension.normal_closure(sys_, ec, U[0], U[1])
     Cs = stiffness(ec)[:2, 2]                       # C_snkl, s on (x1, x2)
     A = -2.0 * (Cs[..., 2] @ sys_.dbplus0() + 1j * Cs[..., :2] @ [k1, k2]) @ U
-    dtn = regions.case("III").dtn(derive_parallel(ec), k1, k2).as_array()
+    dtn = regions.case("III").dtn(derive_parallel(ec), k1, k2)
     gap = float(np.max(np.abs(A - dtn)) / np.max(np.abs(dtn)))
     checks["parallel_traction_map"] = gap
     ok = ok and gap <= 1e-12
@@ -426,8 +426,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        # config values preload the subcommand: splice them right after the
-        # subcommand token so explicit flags (parsed later) take precedence
+        # the global options come off first; what is left starts with the
+        # subcommand
         pre, rest = _global_parser().parse_known_args(argv)
         # anything left before the subcommand that looks like an option is
         # not a global one; argparse would report its value as the command
@@ -435,19 +435,17 @@ def main(argv=None) -> int:
                                                                  "--help"):
             raise _ArgumentError(f"unknown option {rest[0].split('=')[0]} "
                                  "before the subcommand")
+        spliced = []
         if pre.config:
-            sub_names = {"validate", "region", "symbol", "kernel", "solve",
-                         "extend", "verify"}
-            idx = next((i for i, a in enumerate(argv) if a in sub_names),
-                       None)
-            if idx is None:
+            if not rest:
                 raise _ArgumentError("config given without a subcommand")
-            # one "--key=value" token per pair: a value that starts with
-            # '-' must not be read as an option
+            # config values preload the subcommand: spliced right after it,
+            # explicit flags (parsed later) take precedence; one
+            # "--key=value" token per pair, so a value that starts with '-'
+            # is not read as an option
             spliced = [f"--{key}={val}"
                        for key, val in _load_config(pre.config)]
-            argv = argv[:idx + 1] + spliced + argv[idx + 1:]
-        args = parser.parse_args(argv)
+        args = parser.parse_args(rest[:1] + spliced + rest[1:], namespace=pre)
         return args.fn(args)
     except _ArgumentError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

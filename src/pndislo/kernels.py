@@ -15,8 +15,10 @@ that K is -3-homogeneous.  The cases differ only in their coefficients:
 The case-I composite kernel is a weighted pair (K1, K2) because the two
 radial factors differ.
 
-The defining second/fourth-order PDEs are verified numerically by high-order
-finite differences in extended precision (no computer-algebra layer).
+Each kernel term satisfies a second/fourth-order PDE whose operator is its P
+with x1^2 and x3^2 swapped and read as derivatives; `pde_residual` verifies it
+numerically by high-order finite differences in extended precision (no
+computer-algebra layer).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _L = np.longdouble
 FD_ORDER = 8
 #: their step, relative to the distance from the origin
 FD_H_REL = 1e-2
-#: how far (rad) `circle_min` keeps from a zero of a case-I P on the circle
+#: how far (rad) `on_circle` keeps from a zero of a case-I P on the circle
 P_ZERO_GAP = 1e-3
 
 
@@ -197,17 +199,9 @@ def kernel_isotropic(mu: float, q: float) -> KernelForm:
 
 
 def build_kernel(case: str, params) -> KernelForm:
-    """Dispatch on case id: "I", "II", "III", or "iso" (params = (mu, q))."""
-    if case == "I":
-        return kernel_case1(params)
-    if case == "II":
-        return kernel_case2(params)
-    if case == "III":
-        return kernel_case3(params)
-    if case == "iso":
-        mu, q = params
-        return kernel_isotropic(mu, q)
-    raise ValueError(f"unknown kernel case {case!r}")
+    """The kernel of `regions.CASES[case]`; ValueError for another case."""
+    from .regions import case as table_case    # regions imports this module
+    return table_case(case).kernel(params)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +268,30 @@ def _d2_inv_r3(x1, x3, i):
     return 3 * (5 * zi2 - r2) / r2 ** _L(3.5)
 
 
+def _rhs_case2(dp, x1, x3):
+    return 2 * _L(dp.mu) * (_L(dp.p) * _d2_inv_r3(x1, x3, 0)
+                            + _d2_inv_r3(x1, x3, 1))
+
+
+def _rhs_case3(dpar, x1, x3):
+    return _L(dpar.eta1) * _L(dpar.eta2) * (_d2_inv_r3(x1, x3, 0)
+                                            + _d2_inv_r3(x1, x3, 1))
+
+
+#: pde_residual's cases: the kernel whose one term the PDE holds for, and
+#: the analytic right side G
+_PDE = {"I_K1": (lambda dp: kernel_case1_parts(dp)[0], _rhs_case1_K1),
+        "I_K2": (lambda dp: kernel_case1_parts(dp)[1], _rhs_case1_K2),
+        "II": (kernel_case2, _rhs_case2),
+        "III": (kernel_case3, _rhs_case3)}
+
+
 def pde_residual(case: str, params, x1, x3) -> float:
     """Relative residual of the defining kernel PDE at a point.
+
+    The operator is the term's P = sum_i P_i x1^(2(n-1-i)) x3^(2i) with x1
+    and x3 swapped and read as derivatives, sum_i P_i d1^(2i) d3^(2(n-1-i));
+    only the right side G is per case:
 
     case "I_K1": (c d1^4 + b d1^2 d3^2 + d3^4) K1 = G1
     case "I_K2": same operator on K2 = G2
@@ -286,70 +302,60 @@ def pde_residual(case: str, params, x1, x3) -> float:
     precision with h = FD_H_REL * |x|; right side analytic.  Returns
     |L K - G|/(|G| + 1).
     """
+    if case not in _PDE:
+        raise ValueError(f"unknown PDE case {case!r}")
     r = float(np.hypot(x1, x3))
     if r < 1e-6:
         raise ValueError("evaluation point too close to the singularity")
     h = _L(FD_H_REL) * _L(r)
     x1 = _L(x1)
     x3 = _L(x3)
-
-    # the operator as (coefficient, m1, m3) per derivative d1^m1 d3^m3
-    if case in ("I_K1", "I_K2"):
-        dp: DerivedPerp = params
-        which = 0 if case == "I_K1" else 1
-        f = kernel_case1_parts(dp)[which].terms[0]
-        ops = ((dp.c, 4, 0), (dp.b, 2, 2), (1.0, 0, 4))
-        rhs = (_rhs_case1_K1 if which == 0 else _rhs_case1_K2)(dp, x1, x3)
-    elif case == "II":
-        dp = params
-        f = kernel_case2(dp).terms[0]
-        ops = ((dp.p, 2, 0), (dp.q, 0, 2))
-        rhs = 2 * _L(dp.mu) * (_L(dp.p) * _d2_inv_r3(x1, x3, 0)
-                               + _d2_inv_r3(x1, x3, 1))
-    elif case == "III":
-        dpar: DerivedParallel = params
-        e1, e2 = _L(dpar.eta1), _L(dpar.eta2)
-        f = kernel_case3(dpar).terms[0]
-        ops = ((e2, 2, 0), (e1, 0, 2))
-        rhs = e1 * e2 * (_d2_inv_r3(x1, x3, 0) + _d2_inv_r3(x1, x3, 1))
-    else:
-        raise ValueError(f"unknown PDE case {case!r}")
-
-    lhs = sum(_L(a) * _fd(f, x1, x3, m1, m3, h) for a, m1, m3 in ops)
-    return float(abs(lhs - rhs) / (abs(rhs) + 1))
+    kernel, rhs = _PDE[case]
+    f = kernel(params).terms[0]
+    n = len(f.den_coeffs)
+    # highest power of d1 first
+    lhs = sum(_L(f.den_coeffs[i]) * _fd(f, x1, x3, 2 * i, 2 * (n - 1 - i), h)
+              for i in reversed(range(n)))
+    g = rhs(params, x1, x3)
+    return float(abs(lhs - g) / (abs(g) + 1))
 
 
 # ---------------------------------------------------------------------------
 # circle profiles and minima
 # ---------------------------------------------------------------------------
 
+def on_circle(kf: KernelForm, z1, z3):
+    """K at the unit vectors (z1, z3), nan within P_ZERO_GAP (rad) of a zero
+    of P (`_p_zeros`, or its opposite), where float evaluation is noise."""
+    vals = kf(z1, z3)
+    for z in _p_zeros(kf):
+        near = np.abs(z1 * math.cos(z) + z3 * math.sin(z))
+        vals[near > math.cos(P_ZERO_GAP)] = np.nan
+    return vals
+
+
 def circle_profile(kf: KernelForm, n_theta: int = 512):
-    """K(cos theta, sin theta) on a uniform theta grid over [0, pi)."""
+    """`on_circle` on a uniform theta grid over [0, pi)."""
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
     th = np.linspace(0.0, np.pi, n_theta, endpoint=False)
-    return th, kf(np.cos(th), np.sin(th))
+    return th, on_circle(kf, np.cos(th), np.sin(th))
 
 
-def _zeta_candidates(kf: KernelForm, params) -> list:
+def _zeta_candidates(kf: KernelForm) -> list:
     """Closed-form interior critical angles arccos(sqrt(u)), u = cos^2 theta.
 
     On the unit circle the case-II, case-III and iso kernels are N(u)/P(u)^3
     with P = a z1^2 + b z3^2, where (a, b) = (q, p), (eta1, eta2) and (1, q).
     For each of their numerators K'(u) = 0 is the quadratic
     (b - a)^2 u^2 + 2 (b - a)(b + 2a) u - b (3b - 4a) = 0, with roots
-    u = (-b - 2a +- 2 sqrt(a^2 + b^2)) / (b - a).  Case I has none.
+    u = (-b - 2a +- 2 sqrt(a^2 + b^2)) / (b - a).  Case I, whose P is a
+    quartic, has none.
     """
-    if kf.case == "II":
-        a, b = params.q, params.p
-    elif kf.case == "III":
-        a, b = params.eta1, params.eta2
-    elif kf.case == "iso":
-        a, b = 1.0, params[1]
-    else:
+    P = kf.terms[0].den_coeffs
+    if len(P) != 2 or P[0] == P[1]:
         return []
-    if a == b:
-        return []
+    a, b = P
     roots = ((-b - 2.0 * a + s * 2.0 * np.hypot(a, b)) / (b - a)
              for s in (1.0, -1.0))
     return [float(np.arccos(np.sqrt(u))) for u in roots if 0.0 <= u <= 1.0]
@@ -379,29 +385,25 @@ def circle_min(kf: KernelForm, params=None):
     critical angles; with `params`, `_zeta_candidates` adds the interior
     ones in closed form, and K is taken there as it is.  Only when a 4096-angle
     grid goes lower does a zoom of 65 angles a pass close in on its best one.
-    The grid and the zoom skip angles within P_ZERO_GAP of `_p_zeros`.
+    The grid and the zoom skip the angles `on_circle` blanks.
     """
     cands = [0.0, 0.5 * np.pi]
     if params is not None:
-        cands += _zeta_candidates(kf, params)
-    zeros = _p_zeros(kf)
+        cands += _zeta_candidates(kf)
 
     def kv(t):
         return float(kf(np.cos(t), np.sin(t)))
 
-    def clear(t, v):
-        for z in zeros:
-            v[np.abs(t - z) < P_ZERO_GAP] = np.inf
-        return v
-
     best_t, best_v = min(((t, kv(t)) for t in cands), key=lambda tv: tv[1])
     th, vals = circle_profile(kf, 4096)
-    i = int(np.argmin(clear(th, vals)))
+    # fmin(nan, inf) = inf: a blanked angle is never the best
+    i = int(np.argmin(np.fmin(vals, np.inf)))
     if vals[i] < best_v:
         lo, hi = th[i] - 2e-3, th[i] + 2e-3
         while hi - lo > 1e-12:
             t = np.linspace(lo, hi, 65)
-            j = int(np.argmin(clear(t, kf(np.cos(t), np.sin(t)))))
+            v = on_circle(kf, np.cos(t), np.sin(t))
+            j = int(np.argmin(np.fmin(v, np.inf)))
             lo, hi = t[max(j - 1, 0)], t[min(j + 1, 64)]
         best_t, best_v = float(t[j]), kv(t[j])
     return best_t % np.pi, best_v

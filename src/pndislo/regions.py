@@ -1,7 +1,8 @@
 """The case table, kernel-positivity parameter regions and region scans.
 
 `CASES` maps each of the three slip geometries to its derived-parameter
-set, symbol, Dirichlet-to-Neumann matrix, positivity predicate and scan axes.
+set, symbol, Dirichlet-to-Neumann matrix, the DtN component the misfit acts
+on, kernel, positivity predicate and scan axes.
 
 Case I and II live in the (nu, delta) plane inside the ellipticity strip
 0 < delta < 4, 1 - 2/delta < nu < 1/2; case III is a condition on the ratio
@@ -131,16 +132,20 @@ class Case:
     defined.
 
     `derive(ec)` gives the case's parameter set; `symbol` and `dtn` take
-    (params, k1, k2); `member(params)` is the strict kernel-positivity
-    predicate; `scan_params(a, b)` maps a scan cell on the axes
-    `axis_names` to parameters and raises ValueError outside the admissible
-    set.  The kernel is `kernels.build_kernel(name, params)`.
+    (params, k1, k2).  W acts on DtN component `slip` and the other one, f,
+    is minimised out, so the symbol is the Schur complement
+    a_ss - a_sf a_fs / a_ff.  `kernel(params)` is the real-space kernel of
+    the symbol; `member(params)` is the strict kernel-positivity predicate;
+    `scan_params(a, b)` maps a scan cell on the axes `axis_names` to
+    parameters and raises ValueError outside the admissible set.
     """
 
     name: str
     derive: Callable
     symbol: Callable
     dtn: Callable
+    slip: int
+    kernel: Callable
     member: Callable
     scan_params: Callable
     axis_names: tuple
@@ -155,14 +160,15 @@ def _isotropic_parallel_cell(mu_iso, nu_iso):
 
 
 CASES = {c.name: c for c in (
-    Case("I", derive_perp, symbols.symbol_case1, symbols.dtn_perp,
-         lambda dp: in_region_case1(dp.nu, dp.delta), _perp_cell,
-         ("nu", "delta")),
-    Case("II", derive_perp, symbols.symbol_case2, symbols.dtn_perp,
-         lambda dp: in_region_case2(dp.nu, dp.delta), _perp_cell,
-         ("nu", "delta")),
-    Case("III", derive_parallel, symbols.symbol_case3, symbols.dtn_parallel,
-         _member_case3, _isotropic_parallel_cell, ("mu", "nu")),
+    Case("I", derive_perp, symbols.symbol_case1, symbols.dtn_perp, 0,
+         kernels.kernel_case1, lambda dp: in_region_case1(dp.nu, dp.delta),
+         _perp_cell, ("nu", "delta")),
+    Case("II", derive_perp, symbols.symbol_case2, symbols.dtn_perp, 1,
+         kernels.kernel_case2, lambda dp: in_region_case2(dp.nu, dp.delta),
+         _perp_cell, ("nu", "delta")),
+    Case("III", derive_parallel, symbols.symbol_case3, symbols.dtn_parallel, 1,
+         kernels.kernel_case3, _member_case3, _isotropic_parallel_cell,
+         ("mu", "nu")),
 )}
 
 
@@ -228,7 +234,8 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     n1, n2 = axis1.size, axis2.size
     member = np.zeros((n1, n2), dtype=bool)
     kmin = np.full((n1, n2), np.nan)
-    # kmin is the minimum over a midpoint grid of n_theta angles
+    # kmin is the minimum over a midpoint grid of n_theta angles, less those
+    # next to a zero of P, which `kernels.on_circle` blanks and fmin skips
     th = np.linspace(0.0, np.pi, n_theta, endpoint=False) \
         + 0.5 * np.pi / n_theta
     cos_t, sin_t = np.cos(th), np.sin(th)
@@ -240,8 +247,8 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
             except ValueError:
                 continue
             member[i, j] = c.member(params)
-            kf = kernels.build_kernel(c.name, params)
-            kmin[i, j] = float(np.min(kf(cos_t, sin_t)))
+            kmin[i, j] = float(np.fmin.reduce(
+                kernels.on_circle(c.kernel(params), cos_t, sin_t)))
 
     boundary = _boundary(member, np.isfinite(kmin))
     return RegionScan(region=region, axis_names=c.axis_names, axis1=axis1,

@@ -364,9 +364,9 @@ def rayleigh_translation(sol: ProfileSolution) -> float:
     return float(np.dot(tr, Lt) / np.dot(tr, tr))
 
 
-def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256,
-                   L1: Optional[float] = None, L2: Optional[float] = None):
-    """Sample u(x) = psi(e.x) on a periodic cell and measure the 2D residual.
+def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256):
+    """Sample u(x) = psi(e.x) on the periodic cell [-X, X)^2 and measure the
+    2D residual.
 
     The background part phi(e.x) is handled analytically (the operator acts
     on 1-homogeneous directions as m(e) times the 1D half-Laplacian); the
@@ -374,20 +374,19 @@ def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256,
     (GridField2D, residual_rms) with the residual normalized by m(e) to match
     the 1D convention.
     """
-    L1 = 2.0 * sol.X if L1 is None else L1
-    L2 = 2.0 * sol.X if L2 is None else L2
+    L = 2.0 * sol.X
     e1, e2 = math.cos(sol.theta), math.sin(sol.theta)
-    x1, x2 = cell_axes(L1, L2, n1, n2)
+    x1, x2 = cell_axes(L, L, n1, n2)
     s = e1 * x1[:, None] + e2 * x2[None, :]
     s_wrap = (s + sol.X) % (2.0 * sol.X) - sol.X
 
     v2d = np.interp(s_wrap, sol.x, sol.v, period=2.0 * sol.X)
     phi, hphi = _background(s_wrap)
     u = phi + v2d
-    fld = GridField2D(L1, L2, u)
+    fld = GridField2D(L, L, u)
 
     symbol = regions.case(sol.case).symbol
     Lv = apply_multiplier(lambda k1, k2: symbol(sol.params, k1, k2),
-                          GridField2D(L1, L2, v2d)).values
+                          GridField2D(L, L, v2d)).values
     resid = (Lv + sol.m_e * hphi + sol.potential.dw(u)) / sol.m_e
     return fld, float(np.linalg.norm(resid) / math.sqrt(resid.size))

@@ -1,34 +1,18 @@
 """Fourier multipliers of the reduced slip-plane operators.
 
 Contains the 2x2 Dirichlet-to-Neumann matrices for both slip-plane
-orientations and the three reduced scalar symbols.  All scalar symbols are
-even, degree-1 homogeneous, and strictly positive away from k = 0 on the
-admissible parameter ranges; the zero frequency is excluded by contract (the
-operator modules define the zero mode).
+orientations, as arrays of shape k.shape + (2, 2), and the three reduced
+scalar symbols.  All scalar symbols are even, degree-1 homogeneous, and
+strictly positive away from k = 0 on the admissible parameter ranges; the
+zero frequency is excluded by contract (the operator modules define the zero
+mode).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .moduli import DerivedParallel, DerivedPerp
-
-
-@dataclass(frozen=True)
-class DtnMatrix:
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
 
 def _check_nonzero(k1, k2):
@@ -45,13 +29,19 @@ def roots_r(dp: DerivedPerp, k1, k3):
     return np.sqrt(k1 ** 2 + k3 ** 2 / dp.delta), np.hypot(k1, k3)
 
 
-def dtn_perp(dp: DerivedPerp, k1: float, k3: float) -> DtnMatrix:
+def _matrix(a11, a12, a21, a22):
+    """Entries of one shape stacked into an array of shape + (2, 2)."""
+    return np.stack([np.stack([a11, a12], -1), np.stack([a21, a22], -1)], -2)
+
+
+def dtn_perp(dp: DerivedPerp, k1, k3) -> np.ndarray:
     """2x2 Dirichlet-to-Neumann matrix, slip plane perpendicular case.
 
     Exact entrywise evaluation of the closed form, including the a21 entry
     with its (r1 + r2) denominator (evaluated directly; no cancellation for
     positive r1, r2).
     """
+    k1, k3 = _check_nonzero(k1, k3)
     r1, r2 = roots_r(dp, k1, k3)
     nu, de = dp.nu, dp.delta
     s = 2.0 * dp.mu / (1.0 - nu) * r1
@@ -61,10 +51,10 @@ def dtn_perp(dp: DerivedPerp, k1: float, k3: float) -> DtnMatrix:
         ((nu * de + (1.0 - nu) * (1.0 - de)) * r2
          + (nu * de ** 2 - (1.0 - nu) * (1.0 - de) ** 2) * r1) / (r1 + r2))
     a22 = s * (r1 * r2 - nu * k1 ** 2) / r1 ** 2
-    return DtnMatrix(float(a11), float(a12), float(a21), float(a22))
+    return _matrix(a11, a12, a21, a22)
 
 
-def dtn_parallel(dpar: DerivedParallel, k1: float, k2: float) -> DtnMatrix:
+def dtn_parallel(dpar: DerivedParallel, k1, k2) -> np.ndarray:
     """2x2 Dirichlet-to-Neumann matrix, slip plane parallel case.
 
     A(k) = eta1 |k| I + (eta2 - eta1) |k| k (x) k / |k|^2; eigenvalues are
@@ -73,10 +63,9 @@ def dtn_parallel(dpar: DerivedParallel, k1: float, k2: float) -> DtnMatrix:
     k1, k2 = _check_nonzero(k1, k2)
     kk = np.hypot(k1, k2)
     d = (dpar.eta2 - dpar.eta1) / kk
-    return DtnMatrix(float(dpar.eta1 * kk + d * k1 * k1),
-                     float(d * k1 * k2),
-                     float(d * k1 * k2),
-                     float(dpar.eta1 * kk + d * k2 * k2))
+    a12 = d * k1 * k2
+    return _matrix(dpar.eta1 * kk + d * k1 * k1, a12, a12,
+                   dpar.eta1 * kk + d * k2 * k2)
 
 
 def symbol_case1(dp: DerivedPerp, k1, k3):

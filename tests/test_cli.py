@@ -180,6 +180,10 @@ def test_global_help_and_seed_still_accepted(capsys):
     code, out, _ = run(["--seed", "3", "validate"] + ISO5, capsys)
     assert code == 0
     assert json.loads(out)["elliptic"] is True
+    # global options come off wherever they stand
+    code, out, _ = run(["validate"] + ISO5 + ["--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["elliptic"] is True
 
 
 def test_config_preload_and_flag_precedence(tmp_path, capsys):
@@ -194,6 +198,16 @@ def test_config_preload_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["k1"] == 3.0
     assert base["k1"] == 1.0
+
+
+def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
+    # the subcommand is the first token left after the global options, not
+    # the first token that happens to spell one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "symbol").write_text("case = II\nnu = 0.25\nk1 = 1\nk2 = 2\n")
+    code, out, _ = run(["--config", "symbol", "symbol"], capsys)
+    assert code == 0
+    assert json.loads(out)["k1"] == 1.0
 
 
 def test_negative_exponent_value_on_command_line(capsys):
@@ -289,10 +303,14 @@ def _readme_cli_commands():
 def test_readme_cli_commands_run(tmp_path, capsys):
     commands = _readme_cli_commands()
     assert len(commands) >= 7
-    for argv in commands:
+    for n, argv in enumerate(commands):
+        out_dir = tmp_path / str(n)
+        out_dir.mkdir()
         if "--out" in argv:
             i = argv.index("--out") + 1
-            argv[i] = str(tmp_path / argv[i])
+            argv[i] = str(out_dir / argv[i])
         code, out, err = run(argv, capsys)
         assert code == 0, (argv, err)
         json.loads(out)
+        # `extend --out field` writes field.csv, field.bin and field.json
+        assert ("--out" in argv) == any(out_dir.iterdir())

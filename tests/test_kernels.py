@@ -125,7 +125,7 @@ def test_circle_min_exact_critical_values():
     assert kernels.circle_min(kf, dp) == (0.0, float(kf(1.0, 0.0)))
     dp = perp_from_parameters(1.0, 0.05, 0.1)     # interior case-II minimum
     kf = kernels.kernel_case2(dp)
-    (z,) = kernels._zeta_candidates(kf, dp)
+    (z,) = kernels._zeta_candidates(kf)
     assert 0.1 < z < 0.5 * np.pi - 0.1
     assert kernels.circle_min(kf, dp) == (z, float(kf(np.cos(z), np.sin(z))))
 
@@ -148,6 +148,20 @@ def test_circle_min_skips_the_zero_of_p_below_nu_minus_one():
     assert regions.case("I").member(dp) is True
     # c > 0: no zero to skip
     assert kernels._p_zeros(kernels.kernel_case1(DP_ANISO)) == ()
+
+
+def test_circle_profile_blanks_the_zero_of_p():
+    # (nu, delta) = (-1.2, 0.6): c < 0, and next to the zero of P the raw
+    # profile read -16384; every finite value is at least the minimum
+    dp = perp_from_parameters(1.0, -1.2, 0.6)
+    kf = kernels.kernel_case1(dp)
+    th, vals = kernels.circle_profile(kf, 20000)
+    _, kmin = kernels.circle_min(kf, dp)
+    assert kmin == pytest.approx(0.578, abs=1e-3)
+    assert np.nanmin(vals) >= kmin
+    near = np.any([np.abs(th - z) < kernels.P_ZERO_GAP
+                   for z in kernels._p_zeros(kf)], axis=0)
+    assert near.any() and np.array_equal(np.isnan(vals), near)
 
 
 def test_circle_min_guard_finds_interior_minimum_without_params():
@@ -203,7 +217,6 @@ def test_build_kernel_dispatch():
     assert kernels.build_kernel("I", DP_ANISO).case == "I"
     assert kernels.build_kernel("II", DP_ANISO).case == "II"
     assert kernels.build_kernel("III", DPAR_ISO).case == "III"
-    assert kernels.build_kernel("iso", (1.0, 0.8)).case == "iso"
     with pytest.raises(ValueError):
         kernels.build_kernel("IV", DP_ANISO)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pndislo import regions, solver, symbols
+from pndislo import kernels, regions, solver, symbols
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
                             perp_from_parameters, perp_to_constants)
 
@@ -57,11 +57,14 @@ def test_custom_potential_from_table():
 
 def test_case_table_matches_per_case_functions():
     per_case = {
-        "I": (derive_perp, symbols.symbol_case1, symbols.dtn_perp,
+        "I": (derive_perp, symbols.symbol_case1, symbols.dtn_perp, 0,
+              kernels.kernel_case1,
               lambda ec, dp: regions.in_region_case1(dp.nu, dp.delta)),
-        "II": (derive_perp, symbols.symbol_case2, symbols.dtn_perp,
+        "II": (derive_perp, symbols.symbol_case2, symbols.dtn_perp, 1,
+               kernels.kernel_case2,
                lambda ec, dp: regions.in_region_case2(dp.nu, dp.delta)),
-        "III": (derive_parallel, symbols.symbol_case3, symbols.dtn_parallel,
+        "III": (derive_parallel, symbols.symbol_case3, symbols.dtn_parallel, 1,
+                kernels.kernel_case3,
                 lambda ec, dpar: regions.in_region_case3(ec)),
     }
     # (inside, outside) the positivity region of each case
@@ -72,14 +75,16 @@ def test_case_table_matches_per_case_functions():
     assert tuple(regions.CASES) == ("I", "II", "III")
     th = np.pi / 4
     for name, c in regions.CASES.items():
-        derive, symbol, dtn, member = per_case[name]
+        derive, symbol, dtn, slip, kernel, member = per_case[name]
         assert c.name == name and regions.case(name) is c
+        assert c.slip == slip and c.kernel is kernel
         for ec, inside in zip(materials[name], (True, False)):
             params = c.derive(ec)
             assert params == derive(ec)
             for k1, k2 in ((1.0, 0.0), (np.cos(th), np.sin(th)), (-2.0, 0.5)):
                 assert c.symbol(params, k1, k2) == symbol(params, k1, k2)
-                assert c.dtn(params, k1, k2) == dtn(params, k1, k2)
+                assert np.array_equal(c.dtn(params, k1, k2),
+                                      dtn(params, k1, k2))
             assert c.member(params) is member(ec, params) is inside
         # the solver evaluates the table's symbol in direction theta
         params = c.derive(materials[name][0])

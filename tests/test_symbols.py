@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pndislo import symbols
-from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
-                            perp_from_parameters)
+from pndislo import regions, symbols
+from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
+                            from_isotropic, perp_from_parameters)
 
 ISO = from_isotropic(1.0, 0.25)
 DP_ISO = derive_perp(ISO)
 DPAR_ISO = derive_parallel(ISO)
 DP_ANISO = perp_from_parameters(1.0, 0.25, 2.0)
+DPAR_ANISO = derive_parallel(ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))
 
 nonzero_k = st.tuples(st.floats(-10, 10), st.floats(-10, 10)).filter(
     lambda k: abs(k[0]) + abs(k[1]) > 1e-3)
@@ -42,11 +43,12 @@ def test_dtn_perp_frozen_point():
     # a22 = s(5 - 1/4)/5, det = 80/3
     m = symbols.dtn_perp(DP_ISO, 1.0, 2.0)
     s = (8.0 / 3.0) * math.sqrt(5.0)
-    assert m.a11 == pytest.approx(s * 0.8, rel=1e-14)
-    assert m.a12 == pytest.approx(s / 10.0, rel=1e-14)
-    assert m.a22 == pytest.approx(s * 4.75 / 5.0, rel=1e-14)
-    assert m.det == pytest.approx(80.0 / 3.0, rel=1e-13)
-    assert m.a12 == m.a21  # symmetric at delta = 1
+    assert m.shape == (2, 2)
+    assert m[0, 0] == pytest.approx(s * 0.8, rel=1e-14)
+    assert m[0, 1] == pytest.approx(s / 10.0, rel=1e-14)
+    assert m[1, 1] == pytest.approx(s * 4.75 / 5.0, rel=1e-14)
+    assert np.linalg.det(m) == pytest.approx(80.0 / 3.0, rel=1e-13)
+    assert m[0, 1] == m[1, 0]  # symmetric at delta = 1
 
 
 def test_symbol_case1_frozen_point():
@@ -74,7 +76,7 @@ def test_dtn_parallel_eigenstructure():
     # eigenvector k gives eta2 |k|, eigenvector k-perp gives eta1 |k|
     k = np.array([0.6, -1.1])
     kk = float(np.hypot(*k))
-    A = symbols.dtn_parallel(DPAR_ISO, *k).as_array()
+    A = symbols.dtn_parallel(DPAR_ISO, *k)
     assert A @ k == pytest.approx(DPAR_ISO.eta2 * kk * k, rel=1e-13)
     perp = np.array([-k[1], k[0]])
     assert A @ perp == pytest.approx(DPAR_ISO.eta1 * kk * perp, rel=1e-13)
@@ -83,13 +85,26 @@ def test_dtn_parallel_eigenstructure():
 @given(k=nonzero_k)
 @settings(max_examples=100, deadline=None)
 def test_scalar_symbols_are_schur_complements(k):
-    # m~ = det A / a22 (case I) and m = det A / a11 (case II)
+    # m = det A / a_ff with f the component W does not act on: m~ = det/a22
+    # (case I) and m = det/a11 (cases II and III)
     k1, k3 = k
-    m = symbols.dtn_perp(DP_ANISO, k1, k3)
-    m1 = float(symbols.symbol_case1(DP_ANISO, k1, k3))
-    m2 = float(symbols.symbol_case2(DP_ANISO, k1, k3))
-    assert m.det / m.a22 == pytest.approx(m1, rel=1e-10)
-    assert m.det / m.a11 == pytest.approx(m2, rel=1e-10)
+    for c in regions.CASES.values():
+        par = DP_ANISO if c.derive is derive_perp else DPAR_ANISO
+        a = c.dtn(par, k1, k3)
+        f = 1 - c.slip
+        m = float(c.symbol(par, k1, k3))
+        assert np.linalg.det(a) / a[f, f] == pytest.approx(m, rel=1e-10)
+
+
+def test_dtn_maps_on_arrays_match_pointwise():
+    k1 = np.array([[1.0, 0.0, -2.0], [0.3, -0.7, 4.0]])
+    k2 = np.array([[0.0, 2.0, 1.0], [-1.1, 0.0, 2.5]])
+    for fn, par in ((symbols.dtn_perp, DP_ANISO),
+                    (symbols.dtn_parallel, DPAR_ISO)):
+        a = fn(par, k1, k2)
+        assert a.shape == k1.shape + (2, 2)
+        for i in np.ndindex(k1.shape):
+            assert np.array_equal(a[i], fn(par, float(k1[i]), float(k2[i])))
 
 
 @given(k=nonzero_k, lam=st.floats(0.01, 100.0))
