@@ -11,6 +11,7 @@ chosen subcommand; explicit flags override it, unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -336,6 +337,7 @@ def _cmd_verify(args):
 
 # -------------------------------------------------------------------- driver
 
+@functools.cache
 def _global_parser():
     g = _Parser(add_help=False)
     g.add_argument("--config", default=None,
@@ -345,7 +347,10 @@ def _global_parser():
     return g
 
 
+@functools.cache
 def _build_parser():
+    """The whole argparse tree, built on first use and reused: parsing does
+    not change it."""
     p = _Parser(prog="pndislo", parents=[_global_parser()])
     sub = p.add_subparsers(dest="cmd", required=True)
 

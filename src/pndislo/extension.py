@@ -21,7 +21,7 @@ The slip plane is a mirror plane: reflection flips the sign of M1, the only
 block coupling u_n to the slip components, so u(xn) -> J u(-xn), J = diag(+1
 on n, -1 on the slip axes), maps solutions to solutions.  The growing
 generator is -J D J, and Bminus(xn) = J Bplus(-xn) J.  Slip-plane data is
-real: `extend` and `interior_residual` use the rfft2 half spectrum.
+real: `extend` uses the rfft2 half spectrum, slip derivatives m x m matrices.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .moduli import ElasticConstants, derive_parallel, derive_perp, stiffness
-from .nonlocal_ops import GridField2D, wavenumbers
+from .nonlocal_ops import GridField2D
 
 #: axis normal to the slip plane; x3 is the symmetry axis
 NORMAL_AXIS = {"perp": 1, "parallel": 2}
@@ -341,6 +341,13 @@ def _fd_normal(f: np.ndarray, h: float, order_d: int) -> np.ndarray:
     return out
 
 
+def _slip_derivative(m: int, L: float, order: int) -> np.ndarray:
+    """m x m matrix irfft((ik)^order rfft(I)) of d^order/dx^order, order 1
+    or 2, on m periodic samples over L (order 1 zeroes the Nyquist mode)."""
+    ik = 2j * np.pi * np.fft.rfftfreq(m, d=L / m)[:, None]
+    return np.fft.irfft(ik ** order * np.fft.rfft(np.eye(m), axis=0), m, 0)
+
+
 def interior_residual(field: Field3D) -> float:
     """Max relative residual of the elastostatic system at interior points.
 
@@ -348,21 +355,19 @@ def interior_residual(field: Field3D) -> float:
     (C_ijkl + [j != l] C_ilkj) d_j d_l u_k, nonzero coefficients only.
     Normal derivatives use 8th-order central differences on the (uniformly
     spaced) normal samples of one half-space; slip-plane derivatives are
-    spectral (the data is band-limited on the periodic grid by construction).
-    Points within 4 layers (the stencil's half-width) of the slip plane or
-    the outer edge are excluded.  The residual is normalized by the largest
-    absolute term entering any equation row (per half-space).
+    spectral, by the `_slip_derivative` matrices (the data is band-limited on
+    the periodic grid by construction).  Points within 4 layers (the
+    stencil's half-width) of the slip plane or the outer edge are excluded.
+    The residual is normalized by the largest absolute term entering any
+    equation row (per half-space).
     """
-    n, slip = _axes(field.orientation)[:2]
+    sa, sb = _axes(field.orientation)[1]
     C = stiffness(field.ec)
-    terms = [(i, k, j, l, C[i, j, k, l] + (j != l) * C[i, l, k, j])
-             for i in range(3) for k in range(3)
-             for j in range(3) for l in range(j, 3)]
-    terms = [tm for tm in terms if tm[4] != 0.0]
-    shape = field.u.shape[2:]
-    # spectral factor of d_j: i k on a slip axis, 1 on the normal (by FD)
-    kg = wavenumbers(field.L1, field.L2, *shape)
-    ik = {slip[0]: 1j * kg[0], slip[1]: 1j * kg[1], n: 1.0}
+    terms = [(i, k, j, l, c) for i in range(3) for k in range(3)
+             for j in range(3) for l in range(j, 3)
+             if (c := C[i, j, k, l] + (j != l) * C[i, l, k, j]) != 0.0]
+    Da, Db = ({p: _slip_derivative(m, L, p) for p in (1, 2)}
+              for m, L in zip(field.u.shape[2:], (field.L1, field.L2)))
     worst = 0.0
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         xn = field.x_normal[half]
@@ -371,19 +376,18 @@ def interior_residual(field: Field3D) -> float:
         hs = np.diff(xn)
         if np.max(np.abs(hs - hs[0])) > 1e-12 * abs(hs[0]):
             raise ValueError("normal samples must be uniformly spaced")
-        h = hs[0]
         u = field.u[:, half]                       # (3, nn, n1, n2)
-        uh = np.fft.rfft2(u, axes=(-2, -1))
+        fields = {}       # d_j d_l u_k by (k, orders on sa, sb), formed once
         rows = [[], [], []]
         for i, k, j, l, c in terms:
-            on_n = (j == n) + (l == n)
-            if on_n == 2:
-                d = _fd_normal(u[k], h, 2)
-            else:
-                d = np.fft.irfft2(ik[j] * ik[l] * uh[k], s=shape,
-                                  axes=(-2, -1))
-                d = _fd_normal(d, h, 1) if on_n else d[4:-4]
-            rows[i].append(c * d)
+            oa, ob = (j == sa) + (l == sa), (j == sb) + (l == sb)
+            if (k, oa, ob) not in fields:
+                on_n = 2 - oa - ob
+                d = u[k] if on_n else u[k, 4:-4]
+                d = Da[oa] @ d if oa else d
+                d = d @ Db[ob].T if ob else d
+                fields[k, oa, ob] = _fd_normal(d, hs[0], on_n) if on_n else d
+            rows[i].append(c * fields[k, oa, ob])
         # normalize by the largest term over all equations: a row that is
         # identically zero for the given data must not divide noise by noise
         scale = max(max(np.max(np.abs(t)) for t in row) for row in rows)
@@ -396,20 +400,16 @@ def interior_residual(field: Field3D) -> float:
 def stress_strain(field: Field3D):
     """Strain and stress grids plus the elastic energy density.
 
-    Slip-axis derivatives are spectral, one m x m matrix per slip axis (the
-    FFT derivative of the unit vectors, Nyquist wavenumber zeroed: `extend`
-    admits no Nyquist content); normal ones use numpy.gradient per half-space
-    (one-sided at the slip plane and the outer faces; a half-space with one
-    normal sample is a ValueError).  stress = C : strain.  Returns (strain,
-    stress, density), index layout [i, j, normal, slip1, slip2].
+    Slip-axis derivatives are spectral, one `_slip_derivative` matrix per
+    slip axis; normal ones use numpy.gradient per half-space (one-sided at
+    the slip plane and the outer faces; a half-space with one normal sample
+    is a ValueError).  stress = C : strain.  Returns (strain, stress,
+    density), index layout [i, j, normal, slip1, slip2].
     """
     n, slip = _axes(field.orientation)[:2]
     grads = np.zeros((3, 3) + field.u.shape[1:])   # d u_k / d x_l at [k, l]
     for a, (s, L) in enumerate(zip(slip, (field.L1, field.L2))):
-        m = field.u.shape[2 + a]
-        ik = 2j * np.pi * np.fft.rfftfreq(m, d=L / m)[:, None]
-        # irfft drops the imaginary Nyquist term: the Nyquist mode gets 0
-        D = np.fft.irfft(ik * np.fft.rfft(np.eye(m), axis=0), m, axis=0)
+        D = _slip_derivative(field.u.shape[2 + a], L, 1)
         grads[:, s] = D @ field.u if a == 0 else field.u @ D.T
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         if np.count_nonzero(half) == 1:

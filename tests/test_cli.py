@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,10 +117,10 @@ def test_solve_quartic_gradient_flow(capsys):
 
 
 def test_solve_exits_2_when_spectrum_does_not_converge(monkeypatch, capsys):
-    # the preconditioner shift of 1 makes LOBPCG reach its iteration cap on
-    # the case of test_stability_converges_at_spectrum_edge
+    # a cap of 20 iterations stops LOBPCG short on the case of
+    # test_stability_converges_at_spectrum_edge, which takes 113
     from pndislo import solver
-    monkeypatch.setattr(solver, "PRECOND_SHIFT", 1.0)
+    monkeypatch.setattr(solver, "LOBPCG_MAXITER", 20)
     code, out, _ = run(["solve", "--case", "II", "--nu", "0.25", "--delta",
                         "2", "--X", "200", "--N", "4096"], capsys)
     assert code == cli.EXIT_NO_CONVERGENCE
@@ -314,3 +317,26 @@ def test_readme_cli_commands_run(tmp_path, capsys):
         json.loads(out)
         # `extend --out field` writes field.csv, field.bin and field.json
         assert ("--out" in argv) == any(out_dir.iterdir())
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # cli.main builds its argparse tree once per process; calls after the
+    # first must print what a fresh process prints
+    cfg = tmp_path / "cfg"
+    cfg.write_text("case = II\nnu = 0.25\nk1 = 1\nk2 = 2\n")
+    region = ["region", "--case", "I", "--nu-range", "0:0.4:3",
+              "--delta-range", "0.5:2:3", "--n-theta", "64"]
+    calls = [region,
+             ["kernel", "--case", "II", "--nu", "0.25", "--delta", "1.5",
+              "--n-theta", "16"],
+             ["--config", str(cfg), "symbol"],
+             ["symbol", "--case", "IV", "--nu", "0.25", "--k1", "1",
+              "--k2", "2"],
+             region]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in calls:
+        code, out, _ = run(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "pndislo.cli"] + argv,
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert [run(argv, capsys)[0] for argv in calls] == [0, 0, 0, 3, 0]

@@ -629,3 +629,90 @@ def test_traction_map_matches_dtn_isotropic(orientation, mu, nu):
         dtn = (symbols.dtn_perp(derive_perp(ec), *k) if orientation == "perp"
                else symbols.dtn_parallel(derive_parallel(ec), *k))
         assert np.max(np.abs(A - dtn)) <= 1e-13 * np.max(np.abs(dtn))
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_slip_derivative_exact_below_nyquist(m):
+    L = 3.0
+    x = L * np.arange(m) / m
+    D1, D2 = (extension._slip_derivative(m, L, p) for p in (1, 2))
+    for p in range(m // 2):
+        k = 2 * np.pi * p / L
+        c, s = np.cos(k * x), np.sin(k * x)
+        tol1, tol2 = 1e-12 * max(k, 1.0), 1e-12 * max(k * k, 1.0)
+        assert np.max(np.abs(D1 @ c + k * s)) <= tol1
+        assert np.max(np.abs(D1 @ s - k * c)) <= tol1
+        assert np.max(np.abs(D2 @ c + k * k * c)) <= tol2
+        assert np.max(np.abs(D2 @ s + k * k * s)) <= tol2
+
+
+def _rfft2_interior_residual(field):
+    """The residual with slip derivatives by rfft2/irfft2 of each term."""
+    n, slip = extension._axes(field.orientation)[:2]
+    C = stiffness(field.ec)
+    shape = field.u.shape[2:]
+    k1 = 2 * np.pi * np.fft.fftfreq(shape[0], d=field.L1 / shape[0])
+    k2 = 2 * np.pi * np.fft.rfftfreq(shape[1], d=field.L2 / shape[1])
+    ik = {slip[0]: 1j * k1[:, None], slip[1]: 1j * k2[None, :], n: 1.0}
+    worst = 0.0
+    for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
+        h = field.x_normal[half][1] - field.x_normal[half][0]
+        u = field.u[:, half]
+        uh = np.fft.rfft2(u, axes=(-2, -1))
+        rows = [[], [], []]
+        for i, k, j, l in np.ndindex(3, 3, 3, 3):
+            c = C[i, j, k, l] + (j != l) * C[i, l, k, j]
+            if j > l or c == 0.0:
+                continue
+            on_n = (j == n) + (l == n)
+            if on_n == 2:
+                d = extension._fd_normal(u[k], h, 2)
+            else:
+                d = np.fft.irfft2(ik[j] * ik[l] * uh[k], s=shape,
+                                  axes=(-2, -1))
+                d = extension._fd_normal(d, h, 1) if on_n else d[4:-4]
+            rows[i].append(c * d)
+        scale = max(max(np.max(np.abs(t)) for t in row) for row in rows)
+        for row in rows:
+            worst = max(worst, float(np.max(np.abs(sum(row))) / scale))
+    return worst
+
+
+@pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
+                                            ("parallel", ANISO)])
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_interior_residual_matches_rfft2_reference(orientation, ec, m,
+                                                   monkeypatch):
+    # random fields on every mode below Nyquist; 0.1 normal spacing keeps
+    # the residual well above roundoff, so the two agree to 1e-8 relative
+    rng = np.random.default_rng(m)
+    L = (2 * np.pi, 5.0)
+
+    def boundary():
+        c = np.zeros((m, m // 2 + 1), dtype=complex)
+        c[:, : m // 2] = rng.standard_normal((m, m // 2)) \
+            + 1j * rng.standard_normal((m, m // 2))
+        c[m // 2] = 0.0
+        return GridField2D(*L, np.fft.irfft2(c, s=(m, m)))
+
+    fld = extension.extend(orientation, ec, boundary(), boundary(),
+                           0.1 * np.arange(-40, 41))
+    ref = _rfft2_interior_residual(fld)
+    assert ref > 1e-6
+    # the field's slip derivatives take no 2D transform
+    for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, None)
+    assert extension.interior_residual(fld) == pytest.approx(ref, rel=1e-8)
+
+
+def test_interior_residual_guards():
+    u = np.zeros((3, 41, 8, 8))
+    xn = 0.1 * np.arange(-20, 21)
+    # 16 samples below the slip plane: one short of the stencil's 17
+    fld = extension.Field3D("perp", 1.0, 1.0, xn[4:], u[:, 4:], ec=ISO)
+    with pytest.raises(ValueError, match="not enough normal samples"):
+        extension.interior_residual(fld)
+    xn[-1] += 0.01
+    fld = extension.Field3D("perp", 1.0, 1.0, xn, u, ec=ISO)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        extension.interior_residual(fld)
