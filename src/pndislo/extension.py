@@ -9,13 +9,14 @@ and n.  Per slip-plane frequency k the displacement amplitude solves
 M2 w'' + M1 w' + M0 w = 0 in the normal coordinate, in the real variables
 w = T u, T = diag(i on n, 1 on the slip axes).  The companion matrix has
 eigenvalues {+-r1, +-r2, +-r2} (perp, r1 = r2 at delta = 1) or
-+-theta_i |k| (parallel, maybe a complex pair).  For all nonzero
-frequencies at once, a batched Newton iteration gives the matrix sign
-function S; the range {(w, D w)} of (I - S)/2 gives the generator D of the
-decaying solutions whatever the Jordan structure; and exp(D xn), the
-propagator Bplus in w, is the quadratic in D that interpolates
-e^(lambda xn) at the analytic rates, applied to the boundary vectors in
-closed form.  `normal_closure` gives the normal displacement.
++-theta_i |k| (parallel, maybe a complex pair), the rates r known in closed
+form.  The cubic with the growing rates as roots annihilates the growing
+subspace whatever its Jordan structure, so, for all nonzero frequencies at
+once, its value at the companion matrix maps onto the decaying solutions
+{(w, D w)} and gives their generator D; and exp(D xn), the propagator Bplus
+in w, is the quadratic in D that interpolates e^(lambda xn) at the same
+rates, applied to the boundary vectors in closed form.  `normal_closure`
+gives the normal displacement.
 
 The slip plane is a mirror plane: reflection flips the sign of M1, the only
 block coupling u_n to the slip components, so u(xn) -> J u(-xn), J = diag(+1
@@ -37,8 +38,6 @@ from .nonlocal_ops import GridField2D
 
 #: axis normal to the slip plane; x3 is the symmetry axis
 NORMAL_AXIS = {"perp": 1, "parallel": 2}
-#: Newton steps allowed for the matrix sign function before it is an error
-SIGN_ITER_MAX = 40
 
 
 def _axes(orientation: str):
@@ -172,37 +171,31 @@ def _symmetric_functions(M: np.ndarray):
             np.linalg.det(M))
 
 
-def _sign(A: np.ndarray):
-    """Sign function of a stack of real matrices with no eigenvalue on the
-    imaginary axis, and the steps taken: X <- (mu X + (mu X)^-1)/2 with
-    mu = |det X|^(-1/n), until no matrix changes by over 1e-14 relative."""
-    X = A
-    for it in range(1, SIGN_ITER_MAX + 1):
-        Y = X * np.abs(np.linalg.det(X))[..., None, None] ** (-1 / A.shape[-1])
-        Xn = 0.5 * (Y + np.linalg.inv(Y))
-        if np.all(np.linalg.norm(Xn - X, axis=(-2, -1))
-                  <= 1e-14 * np.linalg.norm(Xn, axis=(-2, -1))):
-            return Xn, it
-        X = Xn
-    raise np.linalg.LinAlgError("sign iteration did not converge")
-
-
 def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
     """HalfSpaceSystem at nonzero frequencies k1, k2 (arrays of one shape)
-    and a record {frequencies, sign_iterations, spectrum_mismatch}.  Raises
-    LinAlgError unless the elementary symmetric functions e_j of every D
-    match those of minus the analytic rates to 1e-10 |k|^j;
-    spectrum_mismatch is the largest mismatch over |k|^j."""
+    and a record {frequencies, spectrum_mismatch}.  D(k) = |k| D(k/|k|): at
+    the unit direction, with A the companion matrix and q(x) = x^3 - c1 x^2
+    + c2 x - c3 the cubic whose roots are the growing rates r/|k|, q(A)
+    vanishes on the growing subspace, so the columns X = q(A) [I; 0] lie in
+    {(w, D w)} and D = X_bot X_top^-1 (X_top is invertible: no growing
+    solution starts at w' = 0).  Raises LinAlgError unless the elementary
+    symmetric functions e_j of every D match those of minus the analytic
+    rates to 1e-10 |k|^j; spectrum_mismatch is the largest mismatch over
+    |k|^j."""
     kk = np.hypot(k1, k2)
     if not np.all(kk > 0.0):
         raise ValueError("k = 0 has no decaying extension; handled separately")
     r = _analytic_rates(orientation, ec, k1, k2)   # validates ec
-    S, iterations = _sign(_companion(orientation, ec, k1, k2))
-    P = 0.5 * (np.eye(6) - S)
-    P1, PT = P[..., :3, :], np.swapaxes(P, -1, -2)
-    # range {(w, D w)}: P2 = D P1, so D = P2 P1^T (P1 P1^T)^-1
-    D = np.linalg.solve(P1 @ PT[..., :3], P1 @ PT[..., 3:]).swapaxes(-1, -2)
     e_rates = _symmetric_functions(r[..., None, :] * np.eye(3))   # of diag(r)
+    c1, c2, c3 = ((e / kk ** j).real[..., None, None]
+                  for j, e in enumerate(e_rates, 1))
+    # q(A) [I; 0] by Horner, at k/|k|: A(k) has entries of order |k|^2
+    A, E = _companion(orientation, ec, k1 / kk, k2 / kk), np.eye(6, 3)
+    X = A @ (A @ (A[..., :3] - c1 * E) + c2 * E) - c3 * E
+    # D X_top = X_bot, solved as X_top^T D^T = X_bot^T
+    D = kk[..., None, None] * np.linalg.solve(
+        X[..., :3, :].swapaxes(-1, -2), X[..., 3:, :].swapaxes(-1, -2)
+    ).swapaxes(-1, -2)
     worst = 0.0
     for j, (num, ana) in enumerate(zip(_symmetric_functions(D), e_rates), 1):
         err = np.abs(num - (-1) ** j * ana)
@@ -213,8 +206,7 @@ def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
                 f"{k1.flat[bad[0]]}, {k2.flat[bad[0]]}")
         worst = max(worst, float(np.max(err / kk ** j, initial=0.0)))
     return (HalfSpaceSystem(orientation, (k1, k2), r, D),
-            {"frequencies": int(kk.size), "sign_iterations": iterations,
-             "spectrum_mismatch": worst})
+            {"frequencies": int(kk.size), "spectrum_mismatch": worst})
 
 
 def build_halfspace(orientation: str, ec: ElasticConstants,
@@ -359,7 +351,8 @@ def interior_residual(field: Field3D) -> float:
     the periodic grid by construction).  Points within 4 layers (the
     stencil's half-width) of the slip plane or the outer edge are excluded.
     The residual is normalized by the largest absolute term entering any
-    equation row (per half-space).
+    equation row (per half-space).  At normal spacing 0.1 its roundoff floor
+    is near 1e-12: residuals that small differ by roundoff, not accuracy.
     """
     sa, sb = _axes(field.orientation)[1]
     C = stiffness(field.ec)

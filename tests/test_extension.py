@@ -66,7 +66,7 @@ def test_propagator_array_matches_stacked_scalar(orientation, ec, k1, k2):
 
 # delta = C66/C44 within ~3e-3 of 1 but not 1: r1 and r2 nearly coincide,
 # so the eigenvectors of the companion matrix are nearly dependent; the
-# Schur basis of the decaying subspace does not depend on them.
+# generator, from the cubic in the companion matrix, never forms them.
 NEAR_DELTA_ONE = [
     # delta - 1 = 5.4e-4
     (ElasticConstants(2.049273081042775, -0.02701979487712576,
@@ -473,12 +473,40 @@ def test_extend_near_delta_one():
     assert extension.interior_residual(fld) <= 1e-6
 
 
-def test_build_halfspace_rejects_spectrum_mismatch(monkeypatch):
+@pytest.mark.parametrize("orientation,ec,k1,k2", [
+    ("perp", PERP2, 0.9, 1.1), ("parallel", ANISO, 1.3, 0.4),
+    ("parallel", ISO, 0.5, 0.5)], ids=["perp", "parallel", "triple_root"])
+def test_build_halfspace_rejects_spectrum_mismatch(monkeypatch, orientation,
+                                                   ec, k1, k2):
     rates = extension._analytic_rates
     monkeypatch.setattr(extension, "_analytic_rates",
                         lambda *a: rates(*a) * (1.0 + 1e-8))
     with pytest.raises(np.linalg.LinAlgError, match="spectrum mismatch"):
-        extension.build_halfspace("perp", PERP2, 0.9, 1.1)
+        extension.build_halfspace(orientation, ec, k1, k2)
+
+
+def _perp(nu, delta):
+    return perp_to_constants(perp_from_parameters(1.0, nu, delta))
+
+
+@pytest.mark.parametrize("kk", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("orientation,ec", [
+    ("perp", _perp(0.25, 0.05)), ("perp", _perp(0.49, 3.9)),
+    ("perp", _perp(0.25, 1.0 - 1e-9)), ("perp", _perp(0.25, 1.0 + 1e-9)),
+    ("parallel", ElasticConstants(3.0, 1.0, 3.0, 1.0, 0.05)),  # C66/C44
+    ("parallel", ISO),                                        # triple root
+    ("parallel", ElasticConstants(5.0, 1.0, 2.0, 1.0, 2.5)),  # theta1 = theta2
+    ("parallel", ANISO),                                      # complex pair
+], ids=["delta0.05", "nu0.49-delta3.9", "delta1-1e-9", "delta1+1e-9",
+        "c66=0.05c44", "triple_root", "theta1=theta2", "complex_pair"])
+def test_generator_solves_lower_companion_block(orientation, ec, kk):
+    # (w, D w) solves w'' = A21 w + A22 w' for every w: A21 + A22 D = D^2
+    phi = np.linspace(0.0, np.pi, 13)
+    k1, k2 = kk * np.cos(phi), kk * np.sin(phi)
+    D = extension._halfspaces(orientation, ec, k1, k2)[0].D_decay
+    A = extension._companion(orientation, ec, k1, k2)
+    res = A[..., 3:, :3] + A[..., 3:, 3:] @ D - D @ D
+    assert np.max(np.abs(res)) <= 1e-10 * kk ** 2
 
 
 # (orientation, material, k1, k2): perp with r1 < r2 and with r1 > r2;
@@ -516,22 +544,12 @@ def test_closed_form_matches_expm(orientation, ec, k1, k2):
             assert np.max(np.abs(B(xn) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_sign_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(extension, "SIGN_ITER_MAX", 1)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        extension.build_halfspace("perp", PERP2, 0.9, 1.1)
-    rng = np.random.default_rng(5)
-    ua, ub = _smooth_field(rng, 8, 2 * np.pi), _smooth_field(rng, 8, 2 * np.pi)
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        extension.extend("parallel", ANISO, ua, ub, [0.0, 0.5])
-
-
 @pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
                                             ("parallel", ANISO)])
 def test_extend_reports_stats(orientation, ec):
     fld = _single_mode_field(orientation=orientation, ec=ec, n=16, x_max=1.0)
     assert fld.stats["frequencies"] == 16 * 9 - 1     # the half spectrum
-    assert 1 <= fld.stats["sign_iterations"] <= extension.SIGN_ITER_MAX
+    assert set(fld.stats) == {"frequencies", "spectrum_mismatch"}
     assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
 
 
