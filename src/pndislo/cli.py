@@ -141,7 +141,7 @@ def _cmd_region(args):
            "cells": int(sc.member.size),
            "members": int(np.count_nonzero(sc.member)),
            "boundary": int(np.count_nonzero(sc.boundary)),
-           "out": args.out})
+           "out": args.out, "stats": sc.stats})
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ computer-algebra layer).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,7 +60,7 @@ class KernelTerm:
     """prefactor * N / ((x1^2 + w x3^2)^rp * P^3), N and P even in x1, x3.
 
     Works on arrays, in place on its own temporaries, and on numpy scalars
-    of any float precision.
+    of any float precision.  Fields may be (n, 1) columns (`_stack`).
     """
 
     prefactor: float
@@ -158,23 +158,25 @@ def _iso_coeffs(q):
 # builders
 # ---------------------------------------------------------------------------
 
-def kernel_case1_parts(dp: DerivedPerp) -> tuple[KernelForm, KernelForm]:
-    """The unweighted pair (K1, K2) of the case-I composite kernel."""
+def _case1_terms(dp: DerivedPerp, s1, s2) -> tuple:
+    """The case-I terms K1 and K2 with prefactors s1 and s2."""
     p, de, b, c = dp.p, dp.delta, dp.b, dp.c
     quartic = (1.0, b, c)
-    k1 = KernelTerm(1.0, _k1_coeffs(p, de, b, c), de, 1.5, quartic)
-    k2 = KernelTerm(1.0, _k2_coeffs(p, de, b, c), 1.0, 1.5, quartic)
+    return (KernelTerm(s1, _k1_coeffs(p, de, b, c), de, 1.5, quartic),
+            KernelTerm(s2, _k2_coeffs(p, de, b, c), 1.0, 1.5, quartic))
+
+
+def kernel_case1_parts(dp: DerivedPerp) -> tuple[KernelForm, KernelForm]:
+    """The unweighted pair (K1, K2) of the case-I composite kernel."""
+    k1, k2 = _case1_terms(dp, 1.0, 1.0)
     return KernelForm("I", (k1,)), KernelForm("I", (k2,))
 
 
 def kernel_case1(dp: DerivedPerp) -> KernelForm:
     """Composite case-I kernel K = 2 mu delta (sqrt(delta) K1 + nu K2)."""
-    k1, k2 = (kf.terms[0] for kf in kernel_case1_parts(dp))
     de = dp.delta
-    return KernelForm("I", (
-        replace(k1, prefactor=2.0 * dp.mu * de * np.sqrt(de)),
-        replace(k2, prefactor=2.0 * dp.mu * de * dp.nu),
-    ))
+    return KernelForm("I", _case1_terms(dp, 2.0 * dp.mu * de * math.sqrt(de),
+                                        2.0 * dp.mu * de * dp.nu))
 
 
 def kernel_case2(dp: DerivedPerp) -> KernelForm:
@@ -324,13 +326,53 @@ def pde_residual(case: str, params, x1, x3) -> float:
 # circle profiles and minima
 # ---------------------------------------------------------------------------
 
-def on_circle(kf: KernelForm, z1, z3):
+def _stack(forms) -> KernelForm:
+    """KernelForms of one case as one whose fields are (n, 1) columns, so
+    that it takes n kernels at m angles in one call, shape (n, m).
+
+    A prefactor, radial weight or radial power that all n share stays a
+    scalar, so a common radial factor is taken once per angle; polynomial
+    coefficients are always columns, because `_even_poly` works in place
+    on the first product.
+    """
+    def column(xs):
+        return np.array(xs, dtype=float)[:, None]
+
+    def shared(xs):
+        return xs[0] if xs.count(xs[0]) == len(xs) else column(xs)
+
+    return KernelForm(forms[0].case, tuple(
+        KernelTerm(shared([t.prefactor for t in ts]),
+                   tuple(map(column, zip(*(t.num_coeffs for t in ts)))),
+                   shared([t.radial_weight for t in ts]),
+                   shared([t.radial_power for t in ts]),
+                   tuple(map(column, zip(*(t.den_coeffs for t in ts)))))
+        for ts in zip(*(kf.terms for kf in forms))))
+
+
+def _near(z, z1, z3):
+    """Whether the unit vectors (z1, z3) lie within P_ZERO_GAP (rad) of the
+    angle z or its opposite."""
+    return np.abs(z1 * math.cos(z) + z3 * math.sin(z)) > math.cos(P_ZERO_GAP)
+
+
+def on_circle(kf, z1, z3):
     """K at the unit vectors (z1, z3), nan within P_ZERO_GAP (rad) of a zero
-    of P (`_p_zeros`, or its opposite), where float evaluation is noise."""
-    vals = kf(z1, z3)
-    for z in _p_zeros(kf):
-        near = np.abs(z1 * math.cos(z) + z3 * math.sin(z))
-        vals[near > math.cos(P_ZERO_GAP)] = np.nan
+    of P (`_p_zeros`, or its opposite), where float evaluation is noise.
+
+    `kf` is a KernelForm, or a list of n KernelForms of one case: these are
+    evaluated in one call (`_stack`) on 1-D (z1, z3), one row each, and
+    each row is blanked at the zeros of its own P.
+    """
+    if isinstance(kf, KernelForm):
+        forms, vals = (kf,), kf(z1, z3)
+        rows = (vals,)
+    else:
+        forms = kf
+        vals = rows = _stack(forms)(z1, z3)
+    for row, form in zip(rows, forms):
+        for z in _p_zeros(form):
+            row[_near(z, z1, z3)] = np.nan
     return vals
 
 
@@ -385,11 +427,16 @@ def circle_min(kf: KernelForm, params=None):
     critical angles; with `params`, `_zeta_candidates` adds the interior
     ones in closed form, and K is taken there as it is.  Only when a 4096-angle
     grid goes lower does a zoom of 65 angles a pass close in on its best one.
-    The grid and the zoom skip the angles `on_circle` blanks.
+    The candidates, the grid and the zoom skip the angles `on_circle` blanks.
     """
     cands = [0.0, 0.5 * np.pi]
     if params is not None:
         cands += _zeta_candidates(kf)
+    # P's zeros are th and pi - th with th in (0, pi/2]: 0 and pi/2 are
+    # never both blanked
+    zeros = _p_zeros(kf)
+    cands = [t for t in cands
+             if not any(_near(z, np.cos(t), np.sin(t)) for z in zeros)]
 
     def kv(t):
         return float(kf(np.cos(t), np.sin(t)))

@@ -183,7 +183,11 @@ def case(name: str) -> Case:
 @dataclass
 class RegionScan:
     """Row-major grid scan: closed-form membership, boundary flag, and the
-    numeric kernel minimum over the unit circle per admissible cell."""
+    numeric kernel minimum over the unit circle per admissible cell.
+
+    `stats`: the admissible cells, the angles per kernel minimum and the
+    kernel calls, one per axis1 row with an admissible cell.
+    """
 
     region: str
     axis_names: tuple
@@ -192,6 +196,7 @@ class RegionScan:
     member: np.ndarray = field(repr=False)     # bool, shape (n1, n2)
     boundary: np.ndarray = field(repr=False)   # bool, shape (n1, n2)
     kmin: np.ndarray = field(repr=False)       # float (nan if inadmissible)
+    stats: dict = field(default_factory=dict)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -225,12 +230,16 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     Cells outside the admissible set are non-members with kmin = nan.
     Boundary cells are those whose closed-form membership or admissibility
     differs from any of their 8 neighbors (one-cell ambiguous band).
+    The kernels of one axis1 row are evaluated in one `kernels.on_circle`
+    call, so its temporaries hold axis2.size x n_theta values.
     """
     c = case(region)
     axis1 = np.asarray(axis1, dtype=float)
     axis2 = np.asarray(axis2, dtype=float)
     if axis1.size < 2 or axis2.size < 2:
         raise ValueError("scan needs at least 2 cells per axis")
+    if n_theta < 8:
+        raise ValueError("n_theta must be at least 8")
     n1, n2 = axis1.size, axis2.size
     member = np.zeros((n1, n2), dtype=bool)
     kmin = np.full((n1, n2), np.nan)
@@ -239,17 +248,25 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
     th = np.linspace(0.0, np.pi, n_theta, endpoint=False) \
         + 0.5 * np.pi / n_theta
     cos_t, sin_t = np.cos(th), np.sin(th)
+    stats = {"admissible_cells": 0, "angles": n_theta, "kernel_calls": 0}
 
     for i, a in enumerate(axis1):
+        js, forms = [], []
         for j, b in enumerate(axis2):
             try:
                 params = c.scan_params(a, b)
             except ValueError:
                 continue
             member[i, j] = c.member(params)
-            kmin[i, j] = float(np.fmin.reduce(
-                kernels.on_circle(c.kernel(params), cos_t, sin_t)))
+            js.append(j)
+            forms.append(c.kernel(params))
+        if forms:
+            kmin[i, js] = np.fmin.reduce(
+                kernels.on_circle(forms, cos_t, sin_t), axis=1)
+            stats["admissible_cells"] += len(js)
+            stats["kernel_calls"] += 1
 
     boundary = _boundary(member, np.isfinite(kmin))
     return RegionScan(region=region, axis_names=c.axis_names, axis1=axis1,
-                      axis2=axis2, member=member, boundary=boundary, kmin=kmin)
+                      axis2=axis2, member=member, boundary=boundary, kmin=kmin,
+                      stats=stats)

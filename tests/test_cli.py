@@ -340,3 +340,23 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
                                capture_output=True, text=True, env=env)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
     assert [run(argv, capsys)[0] for argv in calls] == [0, 0, 0, 3, 0]
+
+
+@pytest.mark.parametrize("n_theta", ["0", "7"])
+def test_region_rejects_too_few_angles(capsys, n_theta):
+    code, _, err = run(["region", "--case", "I", "--nu-range", "0:0.4:3",
+                        "--delta-range", "0.5:2:3", "--n-theta", n_theta],
+                       capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert json.loads(err)["error"] == "n_theta must be at least 8"
+
+
+def test_region_prints_stats(capsys):
+    code, out, _ = run(["region", "--case", "I", "--nu-range", "0:0.6:4",
+                        "--delta-range", "0.5:1.5:3", "--n-theta", "16"],
+                       capsys)
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert set(stats) == {"admissible_cells", "angles", "kernel_calls"}
+    # the row nu = 0.6 lies outside the ellipticity strip
+    assert stats == {"admissible_cells": 9, "angles": 16, "kernel_calls": 3}

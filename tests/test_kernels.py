@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,3 +228,50 @@ def test_circle_profile_shape_and_positivity_inside_region():
     assert np.all(vals > 0.0)   # (nu, delta) = (1/4, 1) is in the region
     with pytest.raises(ValueError):
         kernels.circle_profile(kernels.kernel_case2(DP_ISO), 4)
+
+
+@pytest.mark.parametrize("dp", [
+    DP_ISO, DP_ANISO, perp_from_parameters(1.3, -1.2, 0.6),
+    perp_from_parameters(0.7, 0.45, 3.5)], ids=["iso", "aniso", "c<0", "edge"])
+def test_kernel_case1_is_the_weighted_pair(dp):
+    # K = 2 mu delta (sqrt(delta) K1 + nu K2) from the unweighted parts
+    k1, k2 = (kf.terms[0] for kf in kernels.kernel_case1_parts(dp))
+    de = dp.delta
+    assert kernels.kernel_case1(dp) == kernels.KernelForm("I", (
+        replace(k1, prefactor=2.0 * dp.mu * de * np.sqrt(de)),
+        replace(k2, prefactor=2.0 * dp.mu * de * dp.nu)))
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III"])
+def test_on_circle_of_a_list_is_one_row_per_kernel(case):
+    # one call for the list; each row bitwise equal to its own kernel's,
+    # blanked at its own zeros of P (nu < -1 for case I)
+    c = regions.case(case)
+    cells = {"I": [(-1.2, 0.6), (0.25, 2.0), (-1.0290082670616292, 0.75)],
+             "II": [(0.25, 2.0), (0.05, 0.1), (-0.3, 1.5)],
+             "III": [(1.0, 0.25), (2.0, -0.3), (0.5, 0.4)]}[case]
+    forms = [c.kernel(c.scan_params(a, b)) for a, b in cells]
+    th = np.linspace(0.0, np.pi, 4096, endpoint=False)
+    z1, z3 = np.cos(th), np.sin(th)
+    rows = kernels.on_circle(forms, z1, z3)
+    assert rows.shape == (3, th.size)
+    for row, kf in zip(rows, forms):
+        assert np.array_equal(row, kernels.on_circle(kf, z1, z3),
+                              equal_nan=True)
+    assert np.isnan(rows).any() == (case == "I")
+
+
+@pytest.mark.parametrize("params", [None, DP_ISO], ids=["bare", "params"])
+def test_circle_min_skips_a_candidate_next_to_a_zero_of_p(params):
+    # P = x1^4 + x1^2 x3^2 + c x3^4 vanishes 1e-4 rad from pi/2, where the
+    # float value of K is -1e24; no angle within P_ZERO_GAP of it may win
+    t = math.tan(1e-4) ** 2
+    kf = kernels.KernelForm("I", (kernels.KernelTerm(
+        1.0, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.5,
+        (1.0, 1.0, -(t * t + t))),))
+    zeros = kernels._p_zeros(kf)
+    assert zeros[0] == pytest.approx(0.5 * np.pi - 1e-4, abs=1e-12)
+    assert float(kf(0.0, 1.0)) < -1e23
+    theta, kmin = kernels.circle_min(kf, params)
+    assert min(abs(theta - z) for z in zeros) > kernels.P_ZERO_GAP
+    assert kmin > 0.0

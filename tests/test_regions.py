@@ -142,3 +142,61 @@ def test_scan_csv_deterministic(tmp_path):
     lines = b1.decode().strip().split("\n")
     assert lines[0] == "axis1,axis2,member,boundary,kmin"
     assert len(lines) == 1 + 25
+
+
+def _scan_reference(region, axis1, axis2, n_theta):
+    """A kernel call and a minimum per admissible cell, one cell at a time:
+    the loop `regions.scan` batches by rows."""
+    c = regions.case(region)
+    member = np.zeros((len(axis1), len(axis2)), dtype=bool)
+    kmin = np.full(member.shape, np.nan)
+    th = np.linspace(0.0, np.pi, n_theta, endpoint=False) \
+        + 0.5 * np.pi / n_theta
+    cos_t, sin_t = np.cos(th), np.sin(th)
+    for i, a in enumerate(axis1):
+        for j, b in enumerate(axis2):
+            try:
+                params = c.scan_params(a, b)
+            except ValueError:
+                continue
+            member[i, j] = c.member(params)
+            kmin[i, j] = float(np.fmin.reduce(
+                kernels.on_circle(c.kernel(params), cos_t, sin_t)))
+    return member, regions._boundary(member, np.isfinite(kmin)), kmin
+
+
+@pytest.mark.parametrize("n_theta", [8, 512])
+@pytest.mark.parametrize("region, axis1, axis2, empty_rows", [
+    # nu < -1: P vanishes on the circle; at 512 angles 8 are blanked
+    ("I", np.linspace(-1.5, 0.49, 9), np.linspace(0.1, 3.9, 7), 0),
+    # inadmissible cells; the row nu = 0.6 has no admissible cell
+    ("I", np.linspace(-0.9, 0.6, 7), np.linspace(0.05, 4.2, 8), 1),
+    ("II", np.linspace(-0.9, 0.6, 7), np.linspace(0.05, 4.2, 8), 1),
+    ("III", np.linspace(0.5, 2.0, 5), np.linspace(-1.2, 0.6, 8), 0),
+], ids=["I-blanked", "I-inadmissible", "II-inadmissible", "III"])
+def test_scan_matches_per_cell_reference(region, axis1, axis2, empty_rows,
+                                         n_theta):
+    sc = regions.scan(region, axis1, axis2, n_theta=n_theta)
+    member, boundary, kmin = _scan_reference(region, axis1, axis2, n_theta)
+    assert np.array_equal(sc.member, member)
+    assert np.array_equal(sc.boundary, boundary)
+    assert np.array_equal(sc.kmin, kmin, equal_nan=True)
+    admissible = np.isfinite(kmin)
+    assert sc.stats == {"admissible_cells": int(admissible.sum()),
+                        "angles": n_theta,
+                        "kernel_calls": len(axis1) - empty_rows}
+    assert np.count_nonzero(~admissible.any(axis=1)) == empty_rows
+
+
+def test_scan_of_inadmissible_grid_is_all_nan():
+    sc = regions.scan("I", [0.1, 0.2, 0.3], [4.5, 5.0])
+    assert np.all(np.isnan(sc.kmin))
+    assert not sc.member.any() and not sc.boundary.any()
+    assert sc.stats == {"admissible_cells": 0, "angles": 512,
+                        "kernel_calls": 0}
+
+
+@pytest.mark.parametrize("n_theta", [0, 1, 7])
+def test_scan_rejects_too_few_angles(n_theta):
+    with pytest.raises(ValueError, match="n_theta must be at least 8"):
+        regions.scan("I", [0.1, 0.2], [0.5, 1.0], n_theta=n_theta)
