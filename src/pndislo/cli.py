@@ -70,6 +70,9 @@ def _material_constants(args):
         perp_to_constants
     cs = [args.c11, args.c13, args.c33, args.c44, args.c66]
     if all(c is not None for c in cs):
+        if (args.mu, args.nu, args.delta) != (None, None, None):
+            raise _ArgumentError("give the five constants or "
+                                 "--mu/--nu/--delta, not both")
         return ElasticConstants(*cs)
     if any(c is not None for c in cs):
         raise _ArgumentError("give all five constants or none")
@@ -179,9 +182,12 @@ def _cmd_solve(args):
     params = c.derive(_material_constants(args))
     pot = None
     if args.potential == "quartic":
-        pot = solver.Potential.quartic(args.scale)
+        pot = solver.Potential.quartic(
+            1.0 if args.scale is None else args.scale)
     elif args.potential != "cosine":
         raise _ArgumentError(f"unknown potential {args.potential!r}")
+    elif args.scale is not None:
+        raise _ArgumentError("--scale applies to --potential quartic only")
     try:
         sol = solver.solve_profile(c.name, params, potential=pot,
                                    theta=args.theta, X=args.X, N=args.N,
@@ -389,7 +395,7 @@ def _build_parser():
     sp.add_argument("--method", default="newton",
                     choices=["newton", "gradient-flow"])
     sp.add_argument("--potential", default="cosine")
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=float, default=None)
     sp.add_argument("--n-eig", dest="n_eig", type=int, default=6)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_solve)

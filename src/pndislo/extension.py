@@ -33,8 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernels import _fd_weights
 from .moduli import ElasticConstants, derive_parallel, derive_perp, stiffness
 from .nonlocal_ops import GridField2D
+from .symbols import roots_r
 
 #: axis normal to the slip plane; x3 is the symmetry axis
 NORMAL_AXIS = {"perp": 1, "parallel": 2}
@@ -155,12 +157,12 @@ def _companion(orientation: str, ec: ElasticConstants, k1, k2):
 
 def _analytic_rates(orientation: str, ec: ElasticConstants, k1, k2):
     """The three decay rates (Re > 0) at frequencies k1, k2: k1.shape + (3,)"""
-    kk = np.hypot(k1, k2)
     if orientation == "perp":
-        r1 = np.sqrt(k1 ** 2 + k2 ** 2 / derive_perp(ec).delta)
+        r1, kk = roots_r(derive_perp(ec), k1, k2)
         return np.stack([r1, kk, kk], axis=-1).astype(complex)
     dpar = derive_parallel(ec)
-    return np.multiply.outer(kk, [dpar.theta1, dpar.theta2, dpar.theta3])
+    return np.multiply.outer(np.hypot(k1, k2),
+                             [dpar.theta1, dpar.theta2, dpar.theta3])
 
 
 def _symmetric_functions(M: np.ndarray):
@@ -317,10 +319,7 @@ def extend(orientation: str, ec: ElasticConstants,
 
 
 # 8th-order central finite-difference weights on a uniform grid
-_D1_W8 = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
-                   672.0, -168.0, 32.0, -3.0]) / 840.0
-_D2_W8 = np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
-                   8064.0, -1008.0, 128.0, -9.0]) / 5040.0
+_D1_W8, _D2_W8 = (np.array(_fd_weights(m, 4)[1]) for m in (1, 2))
 
 
 def _fd_normal(f: np.ndarray, h: float, order_d: int) -> np.ndarray:

@@ -150,10 +150,6 @@ def _case3_coeffs(e1, e2):
             3 * e2 ** 2 - 2 * e1 * e2)
 
 
-def _iso_coeffs(q):
-    return (3 - 2 * q, 2 * (3 * q ** 2 - 5 * q + 3), q * (3 * q - 2))
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -195,9 +191,10 @@ def kernel_case3(dpar: DerivedParallel) -> KernelForm:
 
 def kernel_isotropic(mu: float, q: float) -> KernelForm:
     """Fully isotropic kernel 2 mu (A z1^4 + B z1^2 z3^2 + C z3^4) /
-    (|z| (z1^2 + q z3^2)^3), q = 1 - nu."""
+    (|z| (z1^2 + q z3^2)^3), q = 1 - nu: the case-III table at
+    (eta1, eta2) = (1, q)."""
     return KernelForm("iso", (KernelTerm(
-        2.0 * mu, _iso_coeffs(q), 1.0, 0.5, (1.0, q)),))
+        2.0 * mu, _case3_coeffs(1.0, q), 1.0, 0.5, (1.0, q)),))
 
 
 def build_kernel(case: str, params) -> KernelForm:

@@ -121,14 +121,13 @@ def stiffness(ec: ElasticConstants) -> np.ndarray:
 
 
 def from_isotropic(mu: float, nu: float) -> ElasticConstants:
-    """Embed an isotropic medium (shear modulus mu, Poisson ratio nu).
+    """Embed an isotropic medium (shear modulus mu, Poisson ratio nu): the
+    delta = 1 member of the perpendicular family, so mu > 0 and
+    -1 < nu < 1/2 are required.
 
     C11 = C33 = 2 mu (1-nu)/(1-2 nu), C13 = 2 mu nu/(1-2 nu), C44 = C66 = mu.
     """
-    if abs(1.0 - 2.0 * nu) < 1e-14:
-        raise ValueError("nu = 1/2 makes the isotropic embedding singular")
-    lam = 2.0 * mu / (1.0 - 2.0 * nu)
-    return ElasticConstants(lam * (1.0 - nu), lam * nu, lam * (1.0 - nu), mu, mu)
+    return perp_to_constants(perp_from_parameters(mu, nu, 1.0))
 
 
 def check_special_condition(ec: ElasticConstants) -> tuple[bool, bool]:

@@ -48,45 +48,19 @@ def smallest_positive_root_rtilde(q: float):
     The quartic (descending powers) is
         -8(q-1) x^4 + (13 q^2 + 14 q - 11) x^3 + 2 q (q^2 - 18 q + 1) x^2
         + q^2 (-11 q^2 + 14 q + 13) x + 8 (q - 1) q^3.
-    Roots come from the companion matrix; each real root is sharpened by
-    bisection to 1e-12.  Returns None if no strictly positive real root.
+    Its roots are the eigenvalues of the companion matrix (`np.roots`).
+    Returns None if no strictly positive real root.
     """
     if not 0.5 < q < 1.0:
         raise ValueError("r~ is defined for q in (1/2, 1)")
-    coeffs = [-8.0 * (-1.0 + q),
-              (-11.0 + 14.0 * q + 13.0 * q * q),
-              2.0 * q * (1.0 - 18.0 * q + q * q),
-              q * q * (13.0 + 14.0 * q - 11.0 * q * q),
-              8.0 * (-1.0 + q) * q ** 3]
-    roots = np.roots(coeffs)
-    real = sorted(r.real for r in roots
-                  if abs(r.imag) <= 1e-9 * (1.0 + abs(r)) and r.real > 1e-14)
-    if not real:
-        return None
-
-    def f(x):
-        return (((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
-                + coeffs[3]) * x + coeffs[4]
-
-    x = real[0]
-    # bisection refinement on a bracket around the companion-matrix root
-    lo, hi = x * (1.0 - 1e-6) - 1e-12, x * (1.0 + 1e-6) + 1e-12
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi <= 0.0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm <= 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-            if hi - lo <= 1e-12 * max(1.0, abs(mid)):
-                break
-        x = 0.5 * (lo + hi)
-    return float(x)
+    roots = np.roots([-8.0 * (-1.0 + q),
+                      (-11.0 + 14.0 * q + 13.0 * q * q),
+                      2.0 * q * (1.0 - 18.0 * q + q * q),
+                      q * q * (13.0 + 14.0 * q - 11.0 * q * q),
+                      8.0 * (-1.0 + q) * q ** 3])
+    real = [r.real for r in roots
+            if abs(r.imag) <= 1e-9 * (1.0 + abs(r)) and r.real > 1e-14]
+    return float(min(real)) if real else None
 
 
 def _case2_conditions(p: float, q: float):
@@ -189,7 +163,6 @@ class RegionScan:
     kernel calls, one per axis1 row with an admissible cell.
     """
 
-    region: str
     axis_names: tuple
     axis1: np.ndarray
     axis2: np.ndarray
@@ -267,6 +240,5 @@ def scan(region: str, axis1, axis2, n_theta: int = 512) -> RegionScan:
             stats["kernel_calls"] += 1
 
     boundary = _boundary(member, np.isfinite(kmin))
-    return RegionScan(region=region, axis_names=c.axis_names, axis1=axis1,
-                      axis2=axis2, member=member, boundary=boundary, kmin=kmin,
-                      stats=stats)
+    return RegionScan(axis_names=c.axis_names, axis1=axis1, axis2=axis2,
+                      member=member, boundary=boundary, kmin=kmin, stats=stats)

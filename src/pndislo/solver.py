@@ -288,10 +288,9 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             f"no convergence to {tol_solve:g} (last residual "
             f"{history[-1]:.3e})", history)
 
-    psi = phi + v
-    _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
-    return ProfileSolution(X=X, N=N, x=x, psi=psi, v=v, theta=theta,
-                           m_e=m_e, case=case, residual=res,
+    # the converged flow or Newton call appended the residual at the final v
+    return ProfileSolution(X=X, N=N, x=x, psi=phi + v, v=v, theta=theta,
+                           m_e=m_e, case=case, residual=history[-1],
                            in_region=c.member(params),
                            potential=pot, params=params, stats=stats)
 

@@ -116,6 +116,22 @@ def test_solve_quartic_gradient_flow(capsys):
     assert json.loads(out)["residual"] <= 1e-8
 
 
+def test_solve_scale_only_with_quartic(capsys):
+    base = ["solve", "--case", "II", "--nu", "0.25", "--X", "50", "--N",
+            "1024"]
+    code, _, err = run(base + ["--scale", "7"], capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert "--scale" in json.loads(err)["error"]
+    # the quartic potential takes scale 1 unless --scale is given
+    reps = []
+    for extra in ([], ["--scale", "1"], ["--scale", "2"]):
+        code, out, _ = run(base + ["--potential", "quartic"] + extra, capsys)
+        assert code == 0
+        reps.append(json.loads(out))
+    assert reps[0] == reps[1]
+    assert reps[2]["eigenvalues"] != reps[0]["eigenvalues"]
+
+
 def test_solve_exits_2_when_spectrum_does_not_converge(monkeypatch, capsys):
     # a cap of 20 iterations stops LOBPCG short on the case of
     # test_stability_converges_at_spectrum_edge, which takes 113
@@ -232,6 +248,22 @@ def test_config_negative_values(tmp_path, capsys, cmd, text, key):
     code, out, _ = run(["--config", str(cfg), cmd], capsys)
     assert code == 0
     assert key in json.loads(out)
+
+
+@pytest.mark.parametrize("extra", [["--nu", "0.4"], ["--mu", "2"],
+                                   ["--delta", "1"]])
+def test_five_constants_and_parameters_rejected(tmp_path, capsys, extra):
+    argv = ["symbol", "--case", "II", "--k1", "1", "--k2", "2"]
+    code, _, err = run(argv + ISO5 + extra, capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert json.loads(err)["error"] == ("give the five constants or "
+                                        "--mu/--nu/--delta, not both")
+    # keys from a config file count the same way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{extra[0][2:]} = {extra[1]}\n")
+    code, _, err = run(["--config", str(cfg)] + argv + ISO5, capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert "not both" in json.loads(err)["error"]
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):

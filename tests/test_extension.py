@@ -649,6 +649,18 @@ def test_traction_map_matches_dtn_isotropic(orientation, mu, nu):
         assert np.max(np.abs(A - dtn)) <= 1e-13 * np.max(np.abs(dtn))
 
 
+def test_normal_stencils_are_the_8th_order_weights():
+    # the typed 8th-order central weights, generated from the exact
+    # rational stencils of kernels._fd_weights
+    d1 = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
+                   672.0, -168.0, 32.0, -3.0]) / 840.0
+    d2 = np.array([-9.0, 128.0, -1008.0, 8064.0, -14350.0,
+                   8064.0, -1008.0, 128.0, -9.0]) / 5040.0
+    for got, ref in ((extension._D1_W8, d1), (extension._D2_W8, d2)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("m", [8, 16, 32])
 def test_slip_derivative_exact_below_nyquist(m):
     L = 3.0

@@ -51,6 +51,26 @@ def test_isotropic_embedding_rejects_half():
         moduli.from_isotropic(1.0, 0.5)
 
 
+@pytest.mark.parametrize("mu,nu", [(1.0, -1.5), (-1.0, 0.25), (1.0, -1.0),
+                                   (0.0, 0.25)])
+def test_isotropic_embedding_rejects_non_elliptic(mu, nu):
+    with pytest.raises(ValueError):
+        moduli.from_isotropic(mu, nu)
+
+
+def test_isotropic_embedding_is_delta_one_member():
+    rng = np.random.default_rng(18)
+    for mu, nu in zip(rng.uniform(0.01, 100.0, 1000),
+                      rng.uniform(-0.999, 0.499, 1000)):
+        ec = moduli.from_isotropic(mu, nu)
+        assert ec == moduli.perp_to_constants(
+            moduli.perp_from_parameters(mu, nu, 1.0))
+        # the closed form of the docstring, bit for bit
+        lam = 2.0 * mu / (1.0 - 2.0 * nu)
+        assert ec.astuple() == (lam * (1.0 - nu), lam * nu, lam * (1.0 - nu),
+                                mu, mu)
+
+
 def test_derive_perp_reference_values():
     # mu = 1, nu = 1/4, delta = 2
     dp = moduli.perp_from_parameters(1.0, 0.25, 2.0)

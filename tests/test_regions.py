@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,15 +62,35 @@ def test_rtilde_vanishes_toward_one():
     assert regions.smallest_positive_root_rtilde(0.9999) <= 1e-4
 
 
+def _rtilde_coeffs(q):
+    return [-8.0 * (-1.0 + q),
+            (-11.0 + 14.0 * q + 13.0 * q * q),
+            2.0 * q * (1.0 - 18.0 * q + q * q),
+            q * q * (13.0 + 14.0 * q - 11.0 * q * q),
+            8.0 * (-1.0 + q) * q ** 3]
+
+
 def test_rtilde_is_a_root():
     for q in (0.6, 0.75, 0.9):
         x = regions.smallest_positive_root_rtilde(q)
-        coeffs = [-8.0 * (-1.0 + q),
-                  (-11.0 + 14.0 * q + 13.0 * q * q),
-                  2.0 * q * (1.0 - 18.0 * q + q * q),
-                  q * q * (13.0 + 14.0 * q - 11.0 * q * q),
-                  8.0 * (-1.0 + q) * q ** 3]
-        assert abs(np.polyval(coeffs, x)) <= 1e-9
+        assert abs(np.polyval(_rtilde_coeffs(q), x)) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [0.6, 0.75, 0.99, 0.9999])
+def test_rtilde_brackets_exact_sign_change(q):
+    # the quartic on the same float coefficients, evaluated exactly, changes
+    # sign within 64 ulps of the returned root
+    x = regions.smallest_positive_root_rtilde(q)
+    coeffs = [Fraction(c) for c in _rtilde_coeffs(q)]
+
+    def f(t):
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * t + c
+        return acc
+
+    step = 64 * Fraction(math.ulp(x))
+    assert f(Fraction(x) - step) * f(Fraction(x) + step) <= 0
 
 
 def test_rtilde_domain():
