@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -332,11 +333,15 @@ def _fd_normal(f: np.ndarray, h: float, order_d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _slip_derivative(m: int, L: float, order: int) -> np.ndarray:
     """m x m matrix irfft((ik)^order rfft(I)) of d^order/dx^order, order 1
-    or 2, on m periodic samples over L (order 1 zeroes the Nyquist mode)."""
+    or 2, on m periodic samples over L (order 1 zeroes the Nyquist mode).
+    Cached per (m, L, order) and shared by every caller, so read-only."""
     ik = 2j * np.pi * np.fft.rfftfreq(m, d=L / m)[:, None]
-    return np.fft.irfft(ik ** order * np.fft.rfft(np.eye(m), axis=0), m, 0)
+    D = np.fft.irfft(ik ** order * np.fft.rfft(np.eye(m), axis=0), m, 0)
+    D.setflags(write=False)
+    return D
 
 
 def interior_residual(field: Field3D) -> float:

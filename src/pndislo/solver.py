@@ -30,7 +30,6 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres, lobpcg
 
 from . import regions
 from .nonlocal_ops import GridField2D, apply_multiplier, cell_axes
@@ -71,12 +70,13 @@ class Potential:
     def _check(self):
         ref = max(1.0, abs(self.scale))
         for s in (-1.0, 1.0):
-            if abs(self.w(s)) > 1e-9 * ref:
-                raise ValueError(f"W({s:+g}) = {self.w(s)!r} is not 0")
-            if abs(self.dw(s)) > 1e-6 * ref:
-                raise ValueError(f"W'({s:+g}) = {self.dw(s)!r} is not 0")
-            if self.d2w(s) <= 0.0:
-                raise ValueError(f"W''({s:+g}) = {self.d2w(s)!r} must be > 0")
+            w, dw, d2w = (float(f(s)) for f in (self.w, self.dw, self.d2w))
+            if abs(w) > 1e-9 * ref:
+                raise ValueError(f"W({s:+g}) = {w!r} is not 0")
+            if abs(dw) > 1e-6 * ref:
+                raise ValueError(f"W'({s:+g}) = {dw!r} is not 0")
+            if d2w <= 0.0:
+                raise ValueError(f"W''({s:+g}) = {d2w!r} must be > 0")
         u = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 401)
         if np.min(self.w(u)) <= 0.0:
             raise ValueError("W must be positive on (-1, 1)")
@@ -134,9 +134,10 @@ class ProfileSolution:
     potential: Potential
     lambda_min: Optional[float] = None
     params: object = dfield(default=None, repr=False)
-    #: run record: flow_steps, newton_steps, centering_passes from
-    #: solve_profile; lobpcg_iterations, lobpcg_residual, lobpcg_converged
-    #: from check_stability
+    #: run record: flow_steps, newton_steps, centering_passes and
+    #: far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|) over the end samples
+    #: from solve_profile; lobpcg_iterations, lobpcg_residual,
+    #: lobpcg_converged from check_stability
     stats: dict = dfield(default_factory=dict, repr=False)
 
     def psi_prime(self) -> np.ndarray:
@@ -179,6 +180,7 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     rough residual, then damped Newton).  Raises SolverError on
     non-convergence with the residual history attached.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
     if not -0.5 * np.pi < theta < 0.5 * np.pi:
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
     if method not in ("gradient-flow", "newton"):
@@ -288,8 +290,10 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             f"no convergence to {tol_solve:g} (last residual "
             f"{history[-1]:.3e})", history)
 
+    psi = phi + v
+    stats["far_field_gap"] = float(max(abs(psi[0] + 1.0), abs(psi[-1] - 1.0)))
     # the converged flow or Newton call appended the residual at the final v
-    return ProfileSolution(X=X, N=N, x=x, psi=phi + v, v=v, theta=theta,
+    return ProfileSolution(X=X, N=N, x=x, psi=psi, v=v, theta=theta,
                            m_e=m_e, case=case, residual=history[-1],
                            in_region=c.member(params),
                            potential=pot, params=params, stats=stats)
@@ -320,6 +324,7 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     sorted eigenvalues; stores lambda_min on the solution and the LOBPCG
     iterations, final largest residual norm and convergence in its stats.
     """
+    from scipy.sparse.linalg import LinearOperator, lobpcg
     N, X = sol.N, sol.X
     absk = _kgrid(N, X)[:, None]
     pot = sol.potential

@@ -100,8 +100,9 @@ def test_solve_quick(tmp_path, capsys):
     assert rep["in_region"] is True
     assert rep["stats"]["lobpcg_converged"] is True
     assert set(rep["stats"]) == {"flow_steps", "newton_steps",
-                                 "centering_passes", "lobpcg_iterations",
-                                 "lobpcg_residual", "lobpcg_converged"}
+                                 "centering_passes", "far_field_gap",
+                                 "lobpcg_iterations", "lobpcg_residual",
+                                 "lobpcg_converged"}
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,psi"
     assert len(lines) == 1025
@@ -392,3 +393,41 @@ def test_region_prints_stats(capsys):
     assert set(stats) == {"admissible_cells", "angles", "kernel_calls"}
     # the row nu = 0.6 lies outside the ellipticity strip
     assert stats == {"admissible_cells": 9, "angles": 16, "kernel_calls": 3}
+
+
+_IMPORT_PROBE = """
+import sys
+from pndislo import (cli, extension, kernels, moduli, nonlocal_ops, regions,
+                     solver, symbols)
+out = sys.argv[1]
+iso = ["--c11", "3", "--c13", "1", "--c33", "3", "--c44", "1", "--c66", "1"]
+calls = [["validate"] + iso,
+         ["symbol", "--case", "II", "--mu", "1", "--nu", "0.25",
+          "--delta", "1", "--k1", "1", "--k2", "2"],
+         ["kernel", "--case", "I", "--nu", "0.25", "--delta", "2",
+          "--out", out + "/profile.csv"],
+         ["region", "--case", "I", "--nu-range", "0:0.4:3",
+          "--delta-range", "0.5:2:3", "--n-theta", "16",
+          "--out", out + "/region.csv"],
+         ["extend", "--orientation", "perp", "--nu", "0.25", "--n", "8",
+          "--m2", "1", "--out", out + "/field"]]
+for argv in calls:
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+sol = solver.solve_profile("II", regions.case("II").derive(
+    moduli.from_isotropic(1.0, 0.25)), X=50.0, N=512)
+solver.check_stability(sol, n_eig=3)
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_only_at_the_first_solve(tmp_path):
+    # importing pndislo and running the closed-form subcommands loads numpy
+    # only; solve_profile/check_stability load scipy.sparse.linalg
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                          str(tmp_path)], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "region.csv").exists()

@@ -676,6 +676,18 @@ def test_slip_derivative_exact_below_nyquist(m):
         assert np.max(np.abs(D2 @ s + k * k * s)) <= tol2
 
 
+@pytest.mark.parametrize("m, L, order", [(8, 3.0, 1), (8, 3.0, 2),
+                                         (17, 2.5, 1), (32, 6.0, 2)])
+def test_slip_derivative_cached_read_only(m, L, order):
+    D = extension._slip_derivative(m, L, order)
+    assert extension._slip_derivative(m, L, order) is D
+    with pytest.raises(ValueError):
+        D[0, 0] = 1.0
+    ik = 2j * np.pi * np.fft.rfftfreq(m, d=L / m)[:, None]
+    fresh = np.fft.irfft(ik ** order * np.fft.rfft(np.eye(m), axis=0), m, 0)
+    assert np.array_equal(D, fresh)
+
+
 def _rfft2_interior_residual(field):
     """The residual with slip derivatives by rfft2/irfft2 of each term."""
     n, slip = extension._axes(field.orientation)[:2]

@@ -41,6 +41,15 @@ def test_potential_well_slope_enforced():
         solver.Potential.custom(u, (1 - u * u) * (0.5 + 0.25 * (1 - u * u)))
 
 
+def test_potential_error_prints_floats():
+    # a spline evaluates to 0-d arrays; the message shows plain numbers
+    u = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError) as exc:
+        solver.Potential.custom(u, 1 - u ** 2)
+    assert "2.0" in str(exc.value)
+    assert "array(" not in str(exc.value)
+
+
 def test_cosine_potential_shape():
     pot = solver.Potential.cosine(2.0)
     assert pot(0.0) == pytest.approx(4.0 / np.pi ** 2, rel=1e-14)
@@ -104,6 +113,13 @@ def test_arctan_oracle_is_exact_fixed_point():
     assert np.max(np.abs(sol.psi - (2 / np.pi) * np.arctan(sol.x))) <= 1e-10
     assert sol.m_e == pytest.approx(2.0, rel=1e-14)   # 2 mu q k3^2/(q k3^2)
     assert sol.in_region is True
+
+
+def test_far_field_gap_on_cosine_oracle():
+    # the exact profile ends at (2/pi) arctan(x) on the symmetric samples
+    sol = solver.solve_profile("II", DP, X=200.0, N=4096)
+    gap = 1.0 - (2.0 / np.pi) * np.arctan(sol.x[-1])
+    assert sol.stats["far_field_gap"] == pytest.approx(gap, abs=1e-8)
 
 
 def test_solver_recovers_from_shifted_start():
