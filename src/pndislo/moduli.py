@@ -156,13 +156,16 @@ def derive_perp(ec: ElasticConstants) -> DerivedPerp:
     return perp_from_parameters(ec.c44, nu, delta)
 
 
-def perp_from_parameters(mu: float, nu: float, delta: float) -> DerivedPerp:
-    """Build DerivedPerp directly from (mu, nu, delta), checking ellipticity.
+def in_ellipticity_strip(nu: float, delta: float) -> bool:
+    """Ellipticity of the perpendicular set for mu > 0:
+    0 < delta < 4, 1 - 2/delta < nu < 1/2."""
+    return 0.0 < delta < 4.0 and 1.0 - 2.0 / delta < nu < 0.5
 
-    In this parameterization ellipticity reads
-    mu > 0, 0 < delta < 4, 1 - 2/delta < nu < 1/2.
-    """
-    if not (mu > 0.0 and 0.0 < delta < 4.0 and 1.0 - 2.0 / delta < nu < 0.5):
+
+def perp_from_parameters(mu: float, nu: float, delta: float) -> DerivedPerp:
+    """Build DerivedPerp directly from (mu, nu, delta), checking ellipticity
+    (mu > 0 and `in_ellipticity_strip`)."""
+    if not (mu > 0.0 and in_ellipticity_strip(nu, delta)):
         raise ValueError(
             f"(mu, nu, delta) = ({mu}, {nu}, {delta}) violates ellipticity")
     p = delta * (2.0 * (1.0 - nu) - delta * (1.0 - 2.0 * nu))

@@ -21,13 +21,9 @@ from typing import Callable
 import numpy as np
 
 from . import kernels, symbols
-from .moduli import (DerivedParallel, ElasticConstants, derive_parallel,
-                     derive_perp, from_isotropic, perp_from_parameters,
-                     validate)
-
-
-def in_ellipticity_strip(nu: float, delta: float) -> bool:
-    return 0.0 < delta < 4.0 and 1.0 - 2.0 / delta < nu < 0.5
+from .moduli import (DerivedParallel, DerivedPerp, ElasticConstants,
+                     derive_parallel, derive_perp, from_isotropic,
+                     in_ellipticity_strip, perp_from_parameters, validate)
 
 
 def in_region_case1(nu: float, delta: float) -> bool:
@@ -77,18 +73,19 @@ def _case2_conditions(p: float, q: float):
     return e1, e2, e3
 
 
-def in_region_case2(nu: float, delta: float) -> bool:
-    """Closed-form positivity region of the case-II kernel."""
-    if not in_ellipticity_strip(nu, delta):
+def _member_case2(dp: DerivedPerp) -> bool:
+    if dp.p <= 0.0:
         return False
-    p = delta * (2.0 * (1.0 - nu) - delta * (1.0 - 2.0 * nu))
-    q = 1.0 - nu
-    if p <= 0.0:
-        return False
-    e1, e2, e3 = _case2_conditions(p, q)
+    e1, e2, e3 = _case2_conditions(dp.p, dp.q)
     if e1 <= 0.0 or e2 <= 0.0:
         return False
     return e3 is None or e3 > 0.0
+
+
+def in_region_case2(nu: float, delta: float) -> bool:
+    """Closed-form positivity region of the case-II kernel."""
+    return (in_ellipticity_strip(nu, delta)
+            and _member_case2(perp_from_parameters(1.0, nu, delta)))
 
 
 def _member_case3(dpar: DerivedParallel) -> bool:
@@ -138,7 +135,7 @@ CASES = {c.name: c for c in (
          kernels.kernel_case1, lambda dp: in_region_case1(dp.nu, dp.delta),
          _perp_cell, ("nu", "delta")),
     Case("II", derive_perp, symbols.symbol_case2, symbols.dtn_perp, 1,
-         kernels.kernel_case2, lambda dp: in_region_case2(dp.nu, dp.delta),
+         kernels.kernel_case2, _member_case2,
          _perp_cell, ("nu", "delta")),
     Case("III", derive_parallel, symbols.symbol_case3, symbols.dtn_parallel, 1,
          kernels.kernel_case3, _member_case3, _isotropic_parallel_cell,

@@ -107,12 +107,23 @@ class Potential:
 
     @classmethod
     def custom(cls, u_nodes, w_values) -> "Potential":
-        """Tabulated potential, cubic-spline interpolated (nodes must span
-        [-1, 1]; the well conditions, W'(+-1) = 0 included, are checked on
-        the spline)."""
+        """Tabulated potential, cubic-spline interpolated; the nodes span
+        [-1, 1].  W'(+-1) = 0 is checked on the data (the parabola through
+        the 3 nodes nearest a well is convex, its minimum within half their
+        span of the well); the spline is clamped, W' = 0, at a table end
+        that is a well, so coarse tables of a valid W pass."""
         from scipy.interpolate import CubicSpline
-        u_nodes = np.asarray(u_nodes, dtype=float)
-        spl = CubicSpline(u_nodes, np.asarray(w_values, dtype=float))
+        u = np.asarray(u_nodes, dtype=float)
+        w = np.asarray(w_values, dtype=float)
+        for s in (-1.0, 1.0):
+            near = np.argsort(np.abs(u - s))[:3]
+            c2, c1, _ = np.polyfit(u[near] - s, w[near], 2)
+            if not abs(c1) <= c2 * np.ptp(u[near]):
+                raise ValueError(f"table slope W'({s:+g}) ~ {c1:.3e} is not 0 "
+                                 "at its node spacing")
+        bc = tuple((1, 0.0) if abs(end) == 1.0 else "not-a-knot"
+                   for end in (u[0], u[-1]))
+        spl = CubicSpline(u, w, bc_type=bc)
         return cls("custom-table", float(np.max(np.abs(w_values))),
                    spl, spl.derivative(1), spl.derivative(2))
 
@@ -161,10 +172,10 @@ def _background(x):
     return phi, half_lap_phi
 
 
-def _residual(v, absk, half_lap_phi, phi, pot, m_e):
-    psi = phi + v
-    F = _multiply(absk, v) + half_lap_phi + pot.dw(psi) / m_e
-    return F, float(np.linalg.norm(F) / math.sqrt(F.size))
+def _linearized(absk, dpot, d):
+    """(-Delta)^(1/2) d + (W''(psi)/m) d on the columns of d, with dpot the
+    sampled W''(psi)/m."""
+    return _multiply(absk, d) + dpot * d
 
 
 def solve_profile(case: str, params, potential: Optional[Potential] = None,
@@ -206,60 +217,51 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     history = []
     stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0}
 
-    def flow(target, budget):
+    def residual(v):
+        F = _multiply(absk, v) + half_lap_phi + pot.dw(phi + v) / m_e
+        return F, float(np.linalg.norm(F) / math.sqrt(N))
+
+    def iterate(step, target, budget):
+        # step(F, res) returns the next v, or None if it cannot reduce res
         nonlocal v
         for _ in range(budget):
-            F, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
+            F, res = residual(v)
             history.append(res)
             if res < target:
                 return True
-            # (1 + dt|k|) v+ = v - dt (F - |k| v), with F the residual at v
-            v = v - dt * _multiply(1.0 / (1.0 + dt * absk), F)
-            stats["flow_steps"] += 1
-        _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
-        history.append(res)
-        return res < target
-
-    def newton(target, budget):
-        nonlocal v
-        for _ in range(budget):
-            F, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
-            history.append(res)
-            if res < target:
-                return True
-            dpot = pot.d2w(phi + v) / m_e
-            c = max(1e-3, float(np.mean(np.abs(dpot))))
-
-            def matvec(d):
-                return _multiply(absk, d) + dpot * d
-
-            def pinv(r):
-                return _multiply(1.0 / (absk + c), r)
-
-            J = LinearOperator((N, N), matvec=matvec, dtype=float)
-            M = LinearOperator((N, N), matvec=pinv, dtype=float)
-            d, info = gmres(J, -F, M=M, rtol=1e-10, atol=0.0,
-                            restart=60, maxiter=50)
-            if info != 0:
+            v_next = step(F, res)
+            if v_next is None:
                 return False
-            stats["newton_steps"] += 1
-            t, best = 1.0, None
-            while t >= 1.0 / 64.0:
-                _, res_t = _residual(v + t * d, absk, half_lap_phi, phi,
-                                     pot, m_e)
-                if best is None or res_t < best[1]:
-                    best = (t, res_t)
-                if res_t < (1.0 - 1e-4 * t) * res:
-                    v = v + t * d
-                    break
-                t *= 0.5
-            else:
-                if best[1] >= res:   # no damping length reduces the residual
-                    return False
-                v = v + best[0] * d
-        _, res = _residual(v, absk, half_lap_phi, phi, pot, m_e)
-        history.append(res)
-        return res < target
+            v = v_next
+        history.append(residual(v)[1])
+        return history[-1] < target
+
+    def flow_step(F, res):
+        # (1 + dt|k|) v+ = v - dt (F - |k| v), with F the residual at v
+        stats["flow_steps"] += 1
+        return v - dt * _multiply(1.0 / (1.0 + dt * absk), F)
+
+    def newton_step(F, res):
+        dpot = pot.d2w(phi + v) / m_e
+        shift = max(1e-3, float(np.mean(np.abs(dpot))))
+        J = LinearOperator((N, N), dtype=float,
+                           matvec=lambda d: _linearized(absk, dpot, d))
+        M = LinearOperator((N, N), dtype=float,
+                           matvec=lambda r: _multiply(1.0 / (absk + shift), r))
+        d, info = gmres(J, -F, M=M, rtol=1e-10, atol=0.0,
+                        restart=60, maxiter=50)
+        if info != 0:
+            return None
+        stats["newton_steps"] += 1
+        trials = []
+        for t in (2.0 ** -i for i in range(7)):     # t = 1 ... 1/64
+            res_t = residual(v + t * d)[1]
+            if res_t < (1.0 - 1e-4 * t) * res:
+                return v + t * d
+            trials.append((t, res_t))
+        # no length decreases enough: take the best one if it decreases at all
+        t, res_t = min(trials, key=lambda tr: tr[1])
+        return v + t * d if res_t < res else None
 
     def center():
         # shift so that the linearly-interpolated zero crossing moves to 0;
@@ -274,25 +276,23 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             v = _multiply(np.exp(1j * absk * x0), v) \
                 + ((2.0 / np.pi) * np.arctan(x + x0) - phi)
 
-    flow(NEWTON_SWITCH if method == "newton" else tol_solve, max_iter)
-    ok = False
+    step, budget = ((newton_step, 40) if method == "newton"
+                    else (flow_step, max_iter))
+    iterate(flow_step, NEWTON_SWITCH if method == "newton" else tol_solve,
+            max_iter)
     for _ in range(4):
         center()
-        if method == "newton":
-            ok = newton(tol_solve, 40)
-        else:
-            ok = flow(tol_solve, max_iter)
-        if ok and abs(_zero_crossing(x, phi + v)) < 1e-9:
+        if (iterate(step, tol_solve, budget)
+                and abs(_zero_crossing(x, phi + v)) < 1e-9):
             break
-        ok = False
-    if not ok:
+    else:
         raise SolverError(
             f"no convergence to {tol_solve:g} (last residual "
             f"{history[-1]:.3e})", history)
 
     psi = phi + v
     stats["far_field_gap"] = float(max(abs(psi[0] + 1.0), abs(psi[-1] - 1.0)))
-    # the converged flow or Newton call appended the residual at the final v
+    # iterate appended the residual at the final v
     return ProfileSolution(X=X, N=N, x=x, psi=psi, v=v, theta=theta,
                            m_e=m_e, case=case, residual=history[-1],
                            in_region=c.member(params),
@@ -333,8 +333,7 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     calls = 0
 
     def matvec(d):
-        d = d.reshape(N, -1)
-        return _multiply(absk, d) + dpot * d
+        return _linearized(absk, dpot, d.reshape(N, -1))
 
     def pinv(d):
         nonlocal calls
@@ -369,7 +368,7 @@ def rayleigh_translation(sol: ProfileSolution) -> float:
     solutions by translation invariance)."""
     tr = sol.psi_prime()
     dpot = sol.potential.d2w(sol.psi) / sol.m_e
-    Lt = _multiply(_kgrid(sol.N, sol.X), tr) + dpot * tr
+    Lt = _linearized(_kgrid(sol.N, sol.X), dpot, tr)
     return float(np.dot(tr, Lt) / np.dot(tr, tr))
 
 

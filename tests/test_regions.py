@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pndislo import kernels, regions
+from pndislo import kernels, moduli, regions
 from pndislo.moduli import from_isotropic, perp_from_parameters
 
 
@@ -14,6 +14,8 @@ def test_ellipticity_strip():
     assert not regions.in_ellipticity_strip(0.25, 4.0)
     assert not regions.in_ellipticity_strip(0.5, 1.0)
     assert not regions.in_ellipticity_strip(0.4, 3.5)   # below 1 - 2/delta
+    # one source: perp_from_parameters checks the same strip
+    assert regions.in_ellipticity_strip is moduli.in_ellipticity_strip
 
 
 def test_case1_region_samples():

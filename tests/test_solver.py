@@ -30,10 +30,12 @@ def test_potential_well_conditions_enforced():
 
 
 def test_potential_well_slope_enforced():
-    # a not-a-knot spline through 9 quartic nodes has W'(+-1) = -+0.017
-    u = np.linspace(-1.0, 1.0, 9)
-    with pytest.raises(ValueError, match="W'"):
-        solver.Potential.custom(u, 0.25 * (1 - u * u) ** 2)
+    # W = 1 - u^2 is zero at the wells and positive inside, but its slope
+    # there is -+2; a spline clamped at the wells alone would accept it
+    for n in (5, 9, 17, 65):
+        u = np.linspace(-1.0, 1.0, n)
+        with pytest.raises(ValueError, match="slope W'"):
+            solver.Potential.custom(u, 1 - u * u)
     # W = (1 - u^2)(1/2 + (1 - u^2)/4): zero, positive inside and convex at
     # the wells, but W'(+-1) = -+1
     u = np.linspace(-1.2, 1.2, 121)
@@ -62,6 +64,23 @@ def test_custom_potential_from_table():
     u = np.linspace(-1.2, 1.2, 121)
     pot = solver.Potential.custom(u, 0.25 * (1 - u * u) ** 2)
     assert pot(0.3) == pytest.approx(0.25 * (1 - 0.09) ** 2, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [9, 17, 65])
+@pytest.mark.parametrize("kind", ["quartic", "cosine"])
+def test_custom_table_of_a_double_well_accepted(kind, n):
+    # the spline is clamped at the wells, so coarse uniform tables of a
+    # valid W pass; a not-a-knot spline missed W'(+-1) = 0 at every n
+    ref = getattr(solver.Potential, kind)(1.0)
+    u = np.linspace(-1.0, 1.0, n)
+    pot = solver.Potential.custom(u, ref(u))
+    assert pot.dw(-1.0) == pot.dw(1.0) == 0.0
+    assert pot.d2w(-1.0) > 0.0 and pot.d2w(1.0) > 0.0
+    if kind == "quartic" and n == 17:
+        sol = solver.solve_profile("II", DP, potential=pot, X=50.0, N=1024)
+        exact = solver.solve_profile("II", DP, potential=ref, X=50.0, N=1024)
+        assert sol.residual <= 1e-10
+        assert np.max(np.abs(sol.psi - exact.psi)) <= 1e-4
 
 
 def test_case_table_matches_per_case_functions():
@@ -191,6 +210,107 @@ def test_flow_step_evaluates_dw_once():
     st = sol.stats
     assert st["flow_steps"] > 10
     assert calls == st["flow_steps"] + st["centering_passes"] + 1
+
+
+def _counted_newton(monkeypatch, scale=1.0, info=None, first_only=False):
+    """Newton solve of the quartic profile (II, nu = 0.25, delta = 1) with
+    GMRES's direction multiplied by `scale` (on the first call only if
+    `first_only`) and its `info` replaced; returns the solution or the
+    SolverError and the W', W'' and GMRES call counts."""
+    import scipy.sparse.linalg as sla
+    real_gmres = sla.gmres
+    n = {"dw": 0, "d2w": 0, "gmres": 0}
+
+    def gmres(*args, **kwargs):
+        n["gmres"] += 1
+        d, rc = real_gmres(*args, **kwargs)
+        s = scale if not first_only or n["gmres"] == 1 else 1.0
+        return s * d, rc if info is None else info
+
+    base = solver.Potential.quartic(1.0)
+
+    def dw(u):
+        n["dw"] += 1
+        return base.dw(u)
+
+    def d2w(u):
+        n["d2w"] += 1
+        return base.d2w(u)
+
+    pot = solver.Potential("counting", 1.0, base.w, dw, d2w)
+    n.update(dw=0, d2w=0)
+    monkeypatch.setattr(sla, "gmres", gmres)
+    try:
+        out = solver.solve_profile("II", DP, potential=pot, X=50.0, N=1024)
+    except solver.SolverError as exc:
+        out = exc
+    return out, n
+
+
+def test_newton_call_counts(monkeypatch):
+    # W' once per recorded residual (one per flow step, one per line-search
+    # trial, one per converged flow or Newton call); W'' once for the flow
+    # step size and once per Newton step.  A typical step takes t = 1.
+    sol, n = _counted_newton(monkeypatch)
+    st = sol.stats
+    assert st["newton_steps"] > 0 and n["gmres"] == st["newton_steps"]
+    assert n["dw"] == (st["flow_steps"] + 2 * st["newton_steps"]
+                       + st["centering_passes"] + 1)
+    assert n["d2w"] == st["newton_steps"] + 1
+
+
+def test_newton_damping_halves_an_overlong_step(monkeypatch):
+    ref, _ = _counted_newton(monkeypatch)
+    sol, n = _counted_newton(monkeypatch, scale=4.0)
+    st = sol.stats
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.psi - ref.psi)) <= 1e-10
+    # t = 1 and t = 1/2 of the fourfold step overshoot before t = 1/4
+    assert n["dw"] >= (st["flow_steps"] + 3 * st["newton_steps"]
+                       + st["centering_passes"] + 1)
+
+
+def test_newton_best_length_fallback(monkeypatch):
+    # a vanishing first direction: no length passes the sufficient-decrease
+    # test, so the best of the 7 lengths (t = 1) is taken and Newton goes on
+    ref, _ = _counted_newton(monkeypatch)
+    sol, n = _counted_newton(monkeypatch, scale=1e-9, first_only=True)
+    st = sol.stats
+    assert sol.residual <= 1e-10
+    assert np.max(np.abs(sol.psi - ref.psi)) <= 1e-10
+    assert st["newton_steps"] == ref.stats["newton_steps"] + 1
+    assert n["dw"] == (st["flow_steps"] + 2 * st["newton_steps"]
+                       + st["centering_passes"] + 1 + 6)
+
+
+def test_newton_fails_when_no_length_reduces(monkeypatch):
+    # an ascent direction: every pass tries all 7 lengths, then gives up
+    exc, n = _counted_newton(monkeypatch, scale=-1.0)
+    assert isinstance(exc, solver.SolverError)
+    assert n["gmres"] == 4
+    assert n["dw"] == len(exc.history) + 4 * 7
+
+
+def test_newton_fails_on_gmres_breakdown(monkeypatch):
+    # info != 0 ends each of the 4 passes before any step or trial
+    ref, _ = _counted_newton(monkeypatch)
+    exc, n = _counted_newton(monkeypatch, info=1)
+    assert isinstance(exc, solver.SolverError)
+    assert n["gmres"] == 4
+    assert n["dw"] == len(exc.history) == ref.stats["flow_steps"] + 1 + 4
+    assert n["d2w"] == 1 + 4
+
+
+def test_newton_budget_exhausted(monkeypatch):
+    # a fiftieth of each step: accepted at t = 1, but 40 steps per pass do not
+    # reach tol_solve; each pass records 40 residuals and the final one
+    ref, _ = _counted_newton(monkeypatch)
+    exc, n = _counted_newton(monkeypatch, scale=0.02)
+    assert isinstance(exc, solver.SolverError)
+    assert n["gmres"] == 4 * 40
+    assert len(exc.history) == ref.stats["flow_steps"] + 1 + 4 * 41
+    assert n["dw"] == len(exc.history) + 4 * 40
+    assert exc.history[-1] < exc.history[-41]
 
 
 def test_cosine_oracle_monotone_everywhere():
