@@ -188,6 +188,8 @@ def _cmd_solve(args):
         raise _ArgumentError(f"unknown potential {args.potential!r}")
     elif args.scale is not None:
         raise _ArgumentError("--scale applies to --potential quartic only")
+    if args.n_eig < 1:
+        raise _ArgumentError("--n-eig must be at least 1")
     try:
         sol = solver.solve_profile(c.name, params, potential=pot,
                                    theta=args.theta, X=args.X, N=args.N,

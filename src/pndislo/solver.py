@@ -9,7 +9,7 @@ e = (cos theta, sin theta).  The solver substitutes psi = phi + v with the
 fixed background phi(x) = (2/pi) arctan(x), whose half-Laplacian is known in
 closed form, (2/pi) x / (1 + x^2); the deviation v decays and is treated
 periodically on [-X, X) with real FFTs.  Semi-implicit spectral gradient flow
-globalizes, damped Newton (GMRES with a circulant preconditioner) finishes to
+globalizes, damped Newton (MINRES with a circulant preconditioner) finishes to
 tol_solve.
 
 The flow step treats |k| implicitly and W'(psi)/m explicitly, so only the
@@ -20,12 +20,12 @@ and dt = 0.5/L keeps a 4x margin without shrinking as N grows.
 v -> (-Delta)^(1/2) v + (W''(psi)/m) v, whose bottom eigenvalue is the
 translation zero mode; `reconstruct_2d` samples u(x) = psi(e.x) on a periodic
 cell and re-evaluates the full 2D residual through the Fourier multiplier.
+Both linear solvers, MINRES and LOBPCG, are written here on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional
 
@@ -37,9 +37,9 @@ from .nonlocal_ops import GridField2D, apply_multiplier, cell_axes
 TOL_SOLVE = 1e-10
 #: gradient flow hands over to Newton below this residual
 NEWTON_SWITCH = 1e-4
-#: LOBPCG preconditioner shift (|k| + c)^-1, as a fraction of the bottom of
+#: floor of the LOBPCG preconditioner shift, as a fraction of the bottom of
 #: the far-field spectrum min W''(+-1)/m
-PRECOND_SHIFT = 0.1
+PRECOND_SHIFT = 0.02
 #: LOBPCG iterations allowed to `check_stability`
 LOBPCG_MAXITER = 400
 
@@ -145,10 +145,12 @@ class ProfileSolution:
     potential: Potential
     lambda_min: Optional[float] = None
     params: object = dfield(default=None, repr=False)
-    #: run record: flow_steps, newton_steps, centering_passes and
-    #: far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|) over the end samples
-    #: from solve_profile; lobpcg_iterations, lobpcg_residual,
-    #: lobpcg_converged from check_stability
+    #: run record: flow_steps, newton_steps, centering_passes,
+    #: newton_inner_iterations (MINRES iterations per Newton step),
+    #: newton_damping (accepted length t per Newton step, 0 if none lowered
+    #: the residual) and far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|)
+    #: over the end samples from solve_profile; lobpcg_iterations,
+    #: lobpcg_residual, lobpcg_converged from check_stability
     stats: dict = dfield(default_factory=dict, repr=False)
 
     def psi_prime(self) -> np.ndarray:
@@ -178,6 +180,124 @@ def _linearized(absk, dpot, d):
     return _multiply(absk, d) + dpot * d
 
 
+def _minres(A, b, M, rtol, maxiter):
+    """Preconditioned MINRES (Paige & Saunders 1975) for A x = b, with A
+    symmetric, possibly indefinite, and M symmetric positive definite, both
+    callables.  Stops when the M-norm of the residual is at most rtol times
+    that of b.  Returns (x, info, iterations), info 0 on convergence and 1
+    when maxiter iterations did not get there."""
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = M(b)
+    beta1 = beta = math.sqrt(float(b @ y))
+    if beta1 == 0.0:
+        return x, 0, 0
+    oldb = dbar = epsln = sn = 0.0
+    cs, phibar = -1.0, beta1
+    w = w2 = np.zeros_like(b)
+    for it in range(1, maxiter + 1):
+        # Lanczos step on the M-inner product
+        v = y / beta
+        y = A(v)
+        if it > 1:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = M(r2)
+        oldb, beta = beta, math.sqrt(float(r2 @ y))
+        # Givens rotation of the tridiagonal into the QR factor
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= rtol * beta1:
+            return x, 0, it
+    return x, 1, maxiter
+
+
+def _cholqr(V):
+    """R^-1 of the Cholesky-QR V = (V R^-1) R, R^T R = V^T V; LinAlgError
+    if the Cholesky factorisation fails."""
+    return np.linalg.inv(np.linalg.cholesky(V.T @ V)).T
+
+
+def _gram(S, T):
+    """The block matrix [S_i^T T_j], its blocks below the diagonal taken as
+    the transposes of those above it."""
+    B = [[None] * len(S) for _ in S]
+    for i, a in enumerate(S):
+        for j in range(i, len(S)):
+            B[i][j] = a.T @ T[j]
+            B[j][i] = B[i][j].T
+    return np.block(B)
+
+
+def _lobpcg(A, T, X, tol, maxiter):
+    """Smallest eigenpairs of a symmetric operator by LOBPCG (Knyazev 2001)
+    from the orthonormal columns of X.
+
+    A(V) applies the operator to the columns of V, T(R, theta) the
+    preconditioner for Ritz values theta to the residual columns R.  Soft
+    locking: a column whose residual norm is at most tol gets neither a
+    preconditioned residual W nor a direction P, but stays in the
+    Rayleigh-Ritz basis [X W P].  P is projected out of X, W out of X and
+    P, and each is orthonormalised by Cholesky-QR, W before A is applied
+    to it, so that AW is exact and the basis orthonormal up to rounding.
+    Returns (Ritz values ascending, Ritz vectors, iterations)."""
+    n = X.shape[1]
+    AX = A(X)
+    theta, C = np.linalg.eigh(X.T @ AX)
+    X, AX, P, AP = X @ C, AX @ C, None, None
+    for it in range(maxiter):
+        R = AX - X * theta
+        act = np.einsum("ij,ij->j", R, R) > tol * tol
+        if not act.any():
+            return theta, X, it
+        W = T(R[:, act], theta[act])
+        W -= X @ (X.T @ W)
+        # with P first; a Cholesky factor that fails restarts without it
+        for with_p in (True, False) if P is not None else (False,):
+            try:
+                S, AS, V = [X], [AX], W
+                if with_p:
+                    Pa, APa = P[:, act], AP[:, act]
+                    Y = X.T @ Pa
+                    Pa -= X @ Y
+                    APa -= AX @ Y
+                    Ri = _cholqr(Pa)
+                    S.append(Pa @ Ri)
+                    AS.append(APa @ Ri)
+                    V = W - S[1] @ (S[1].T @ W)
+                V = V @ _cholqr(V)
+                S.append(V)
+                AS.append(A(V))
+                Li = np.linalg.inv(np.linalg.cholesky(_gram(S, S)))
+            except np.linalg.LinAlgError:
+                continue
+            break
+        else:
+            return theta, X, it
+        # Rayleigh-Ritz on span[X W P] through the Gram matrix L L^T of S
+        H = _gram(S, AS)
+        vals, V = np.linalg.eigh(Li @ (0.5 * (H + H.T)) @ Li.T)
+        Cx, *Cs = np.split(Li.T @ V[:, :n],
+                           np.cumsum([b.shape[1] for b in S[:-1]]))
+        theta = vals[:n]
+        P = sum(b @ c for b, c in zip(S[1:], Cs))
+        AP = sum(b @ c for b, c in zip(AS[1:], Cs))
+        X, AX = X @ Cx, AX @ Cx
+        X += P
+        AX += AP
+    return theta, X, maxiter
+
+
 def solve_profile(case: str, params, potential: Optional[Potential] = None,
                   theta: float = 0.0, X: float = 200.0, N: int = 4096,
                   method: str = "newton", tol_solve: float = TOL_SOLVE,
@@ -191,7 +311,6 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     rough residual, then damped Newton).  Raises SolverError on
     non-convergence with the residual history attached.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
     if not -0.5 * np.pi < theta < 0.5 * np.pi:
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
     if method not in ("gradient-flow", "newton"):
@@ -215,7 +334,8 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
 
     v = np.zeros(N) if v0 is None else np.array(v0, dtype=float)
     history = []
-    stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0}
+    stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0,
+             "newton_inner_iterations": [], "newton_damping": []}
 
     def residual(v):
         F = _multiply(absk, v) + half_lap_phi + pot.dw(phi + v) / m_e
@@ -244,24 +364,27 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     def newton_step(F, res):
         dpot = pot.d2w(phi + v) / m_e
         shift = max(1e-3, float(np.mean(np.abs(dpot))))
-        J = LinearOperator((N, N), dtype=float,
-                           matvec=lambda d: _linearized(absk, dpot, d))
-        M = LinearOperator((N, N), dtype=float,
-                           matvec=lambda r: _multiply(1.0 / (absk + shift), r))
-        d, info = gmres(J, -F, M=M, rtol=1e-10, atol=0.0,
-                        restart=60, maxiter=50)
+        minv = 1.0 / (absk + shift)
+        d, info, its = _minres(lambda d: _linearized(absk, dpot, d), -F,
+                               lambda r: _multiply(minv, r),
+                               rtol=1e-10, maxiter=N)
         if info != 0:
             return None
         stats["newton_steps"] += 1
+        stats["newton_inner_iterations"].append(its)
         trials = []
         for t in (2.0 ** -i for i in range(7)):     # t = 1 ... 1/64
             res_t = residual(v + t * d)[1]
             if res_t < (1.0 - 1e-4 * t) * res:
-                return v + t * d
+                break
             trials.append((t, res_t))
-        # no length decreases enough: take the best one if it decreases at all
-        t, res_t = min(trials, key=lambda tr: tr[1])
-        return v + t * d if res_t < res else None
+        else:
+            # no length decreases enough: take the best one if it decreases
+            # at all
+            t, res_t = min(trials, key=lambda tr: tr[1])
+            t = t if res_t < res else 0.0
+        stats["newton_damping"].append(t)
+        return v + t * d if t else None
 
     def center():
         # shift so that the linearly-interpolated zero crossing moves to 0;
@@ -276,19 +399,26 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
             v = _multiply(np.exp(1j * absk * x0), v) \
                 + ((2.0 / np.pi) * np.arctan(x + x0) - phi)
 
+    def failure():
+        return SolverError(f"no convergence to {tol_solve:g} (last residual "
+                           f"{history[-1]:.3e})", history)
+
     step, budget = ((newton_step, 40) if method == "newton"
                     else (flow_step, max_iter))
     iterate(flow_step, NEWTON_SWITCH if method == "newton" else tol_solve,
             max_iter)
     for _ in range(4):
         center()
-        if (iterate(step, tol_solve, budget)
-                and abs(_zero_crossing(x, phi + v)) < 1e-9):
-            break
+        start = v
+        if iterate(step, tol_solve, budget):
+            if abs(_zero_crossing(x, phi + v)) < 1e-9:
+                break
+        elif v is start:
+            # no step accepted: v is unchanged, so the next pass would
+            # repeat this one
+            raise failure()
     else:
-        raise SolverError(
-            f"no convergence to {tol_solve:g} (last residual "
-            f"{history[-1]:.3e})", history)
+        raise failure()
 
     psi = phi + v
     stats["far_field_gap"] = float(max(abs(psi[0] + 1.0), abs(psi[-1] - 1.0)))
@@ -319,29 +449,30 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     mode psi' (exactly the kernel direction in the continuum) plus random
     vectors.  Far from the core W''(psi)/m tends to sigma = min W''(+-1)/m,
     the edge of the continuous spectrum, where the next eigenvalues cluster.
-    The preconditioner (|k| + c)^-1, c = PRECOND_SHIFT * sigma (> 0 for every
-    Potential), acts as a shift-invert just below that edge.  Returns the
+    The preconditioner of a column with Ritz value theta is the far-field
+    inverse of the shifted operator, (|k| + sigma - theta)^-1, with the shift
+    floored at PRECOND_SHIFT * sigma (> 0 for every Potential).  Returns the
     sorted eigenvalues; stores lambda_min on the solution and the LOBPCG
     iterations, final largest residual norm and convergence in its stats.
+    Raises ValueError unless 1 <= n_eig <= N/4: the residuals are orthogonal
+    to the 3 n_eig columns of the LOBPCG basis [X W P], and W needs n_eig
+    independent ones among the remaining N - 3 n_eig dimensions.
     """
-    from scipy.sparse.linalg import LinearOperator, lobpcg
     N, X = sol.N, sol.X
+    if not 1 <= n_eig <= N // 4:
+        raise ValueError(f"n_eig = {n_eig} outside [1, N/4] for N = {N}")
     absk = _kgrid(N, X)[:, None]
     pot = sol.potential
     dpot = (pot.d2w(sol.psi) / sol.m_e)[:, None]
-    shift = PRECOND_SHIFT * min(pot.d2w(-1.0), pot.d2w(1.0)) / sol.m_e
-    calls = 0
+    sigma = float(min(pot.d2w(-1.0), pot.d2w(1.0))) / sol.m_e
 
     def matvec(d):
-        return _linearized(absk, dpot, d.reshape(N, -1))
+        return _linearized(absk, dpot, d)
 
-    def pinv(d):
-        nonlocal calls
-        calls += 1            # LOBPCG preconditions once per iteration
-        return _multiply(1.0 / (absk + shift), d.reshape(N, -1))
+    def precond(r, theta):
+        shift = np.maximum(sigma - theta, PRECOND_SHIFT * sigma)
+        return _multiply(1.0 / (absk + shift), r)
 
-    A = LinearOperator((N, N), matvec=matvec, matmat=matvec, dtype=float)
-    M = LinearOperator((N, N), matvec=pinv, matmat=pinv, dtype=float)
     rng = np.random.default_rng(0)
     X0 = np.empty((N, n_eig))
     tr = sol.psi_prime()
@@ -349,16 +480,12 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     X0[:, 1:] = rng.standard_normal((N, n_eig - 1))
     X0, _ = np.linalg.qr(X0)
     tol = 1e-9
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        # LOBPCG's own stopping test can pass just above tol by the residual
-        # recomputed below; aim below it
-        vals, vecs = lobpcg(A, X0, M=M, largest=False, tol=0.5 * tol,
-                            maxiter=LOBPCG_MAXITER)
+    # the recurrence's residuals can differ from the one recomputed below
+    # in the last digits; aim below tol
+    vals, vecs, its = _lobpcg(matvec, precond, X0, 0.5 * tol, LOBPCG_MAXITER)
     res = float(np.max(np.linalg.norm(matvec(vecs) - vecs * vals, axis=0)))
-    vals = np.sort(vals)
     sol.lambda_min = float(vals[0])
-    sol.stats.update(lobpcg_iterations=calls, lobpcg_residual=res,
+    sol.stats.update(lobpcg_iterations=its, lobpcg_residual=res,
                      lobpcg_converged=res <= tol)
     return vals
 

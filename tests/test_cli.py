@@ -100,7 +100,8 @@ def test_solve_quick(tmp_path, capsys):
     assert rep["in_region"] is True
     assert rep["stats"]["lobpcg_converged"] is True
     assert set(rep["stats"]) == {"flow_steps", "newton_steps",
-                                 "centering_passes", "far_field_gap",
+                                 "centering_passes", "newton_inner_iterations",
+                                 "newton_damping", "far_field_gap",
                                  "lobpcg_iterations", "lobpcg_residual",
                                  "lobpcg_converged"}
     lines = out_path.read_text().splitlines()
@@ -135,7 +136,7 @@ def test_solve_scale_only_with_quartic(capsys):
 
 def test_solve_exits_2_when_spectrum_does_not_converge(monkeypatch, capsys):
     # a cap of 20 iterations stops LOBPCG short on the case of
-    # test_stability_converges_at_spectrum_edge, which takes 113
+    # test_stability_converges_at_spectrum_edge, which takes 42
     from pndislo import solver
     monkeypatch.setattr(solver, "LOBPCG_MAXITER", 20)
     code, out, _ = run(["solve", "--case", "II", "--nu", "0.25", "--delta",
@@ -144,6 +145,22 @@ def test_solve_exits_2_when_spectrum_does_not_converge(monkeypatch, capsys):
     rep = json.loads(out)
     assert rep["stats"]["lobpcg_converged"] is False
     assert rep["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("n_eig", ["0", "-2"])
+def test_solve_rejects_n_eig_below_one_before_solving(monkeypatch, capsys,
+                                                      n_eig):
+    from pndislo import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_profile called")
+
+    monkeypatch.setattr(solver, "solve_profile", no_solve)
+    code, out, err = run(["solve", "--case", "II", "--nu", "0.25",
+                          "--n-eig", n_eig], capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert "--n-eig" in json.loads(err)["error"]
 
 
 def test_extend_quick(capsys):
@@ -410,21 +427,22 @@ calls = [["validate"] + iso,
           "--delta-range", "0.5:2:3", "--n-theta", "16",
           "--out", out + "/region.csv"],
          ["extend", "--orientation", "perp", "--nu", "0.25", "--n", "8",
-          "--m2", "1", "--out", out + "/field"]]
+          "--m2", "1", "--out", out + "/field"],
+         ["solve", "--case", "II", "--nu", "0.25", "--potential", "quartic",
+          "--X", "50", "--N", "512", "--n-eig", "3"]]
 for argv in calls:
     assert cli.main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded[:5]
 sol = solver.solve_profile("II", regions.case("II").derive(
     moduli.from_isotropic(1.0, 0.25)), X=50.0, N=512)
 solver.check_stability(sol, n_eig=3)
-assert "scipy.sparse.linalg" in sys.modules
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
 """
 
 
-def test_scipy_loads_only_at_the_first_solve(tmp_path):
-    # importing pndislo and running the closed-form subcommands loads numpy
-    # only; solve_profile/check_stability load scipy.sparse.linalg
+def test_solve_path_loads_no_scipy(tmp_path):
+    # importing pndislo, the closed-form subcommands, `solve` and
+    # solve_profile/check_stability run on numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                           str(tmp_path)], capture_output=True, text=True,

@@ -214,18 +214,17 @@ def test_flow_step_evaluates_dw_once():
 
 def _counted_newton(monkeypatch, scale=1.0, info=None, first_only=False):
     """Newton solve of the quartic profile (II, nu = 0.25, delta = 1) with
-    GMRES's direction multiplied by `scale` (on the first call only if
+    MINRES's direction multiplied by `scale` (on the first call only if
     `first_only`) and its `info` replaced; returns the solution or the
-    SolverError and the W', W'' and GMRES call counts."""
-    import scipy.sparse.linalg as sla
-    real_gmres = sla.gmres
-    n = {"dw": 0, "d2w": 0, "gmres": 0}
+    SolverError and the W', W'' and MINRES call counts."""
+    real_minres = solver._minres
+    n = {"dw": 0, "d2w": 0, "minres": 0}
 
-    def gmres(*args, **kwargs):
-        n["gmres"] += 1
-        d, rc = real_gmres(*args, **kwargs)
-        s = scale if not first_only or n["gmres"] == 1 else 1.0
-        return s * d, rc if info is None else info
+    def minres(*args, **kwargs):
+        n["minres"] += 1
+        d, rc, its = real_minres(*args, **kwargs)
+        s = scale if not first_only or n["minres"] == 1 else 1.0
+        return s * d, rc if info is None else info, its
 
     base = solver.Potential.quartic(1.0)
 
@@ -239,7 +238,7 @@ def _counted_newton(monkeypatch, scale=1.0, info=None, first_only=False):
 
     pot = solver.Potential("counting", 1.0, base.w, dw, d2w)
     n.update(dw=0, d2w=0)
-    monkeypatch.setattr(sla, "gmres", gmres)
+    monkeypatch.setattr(solver, "_minres", minres)
     try:
         out = solver.solve_profile("II", DP, potential=pot, X=50.0, N=1024)
     except solver.SolverError as exc:
@@ -253,7 +252,7 @@ def test_newton_call_counts(monkeypatch):
     # step size and once per Newton step.  A typical step takes t = 1.
     sol, n = _counted_newton(monkeypatch)
     st = sol.stats
-    assert st["newton_steps"] > 0 and n["gmres"] == st["newton_steps"]
+    assert st["newton_steps"] > 0 and n["minres"] == st["newton_steps"]
     assert n["dw"] == (st["flow_steps"] + 2 * st["newton_steps"]
                        + st["centering_passes"] + 1)
     assert n["d2w"] == st["newton_steps"] + 1
@@ -284,21 +283,76 @@ def test_newton_best_length_fallback(monkeypatch):
 
 
 def test_newton_fails_when_no_length_reduces(monkeypatch):
-    # an ascent direction: every pass tries all 7 lengths, then gives up
+    # an ascent direction: the first pass tries all 7 lengths and gives up;
+    # v is unchanged, so a second pass would repeat it and none is made
     exc, n = _counted_newton(monkeypatch, scale=-1.0)
     assert isinstance(exc, solver.SolverError)
-    assert n["gmres"] == 4
-    assert n["dw"] == len(exc.history) + 4 * 7
+    assert n["minres"] == 1
+    assert n["dw"] == len(exc.history) + 7
 
 
-def test_newton_fails_on_gmres_breakdown(monkeypatch):
-    # info != 0 ends each of the 4 passes before any step or trial
+def test_newton_fails_on_minres_breakdown(monkeypatch):
+    # info != 0 ends the first pass before any step or trial, and the
+    # solve with it
     ref, _ = _counted_newton(monkeypatch)
     exc, n = _counted_newton(monkeypatch, info=1)
     assert isinstance(exc, solver.SolverError)
-    assert n["gmres"] == 4
-    assert n["dw"] == len(exc.history) == ref.stats["flow_steps"] + 1 + 4
-    assert n["d2w"] == 1 + 4
+    assert n["minres"] == 1
+    assert n["dw"] == len(exc.history) == ref.stats["flow_steps"] + 1 + 1
+    assert n["d2w"] == 1 + 1
+
+
+def test_newton_run_record(monkeypatch):
+    # one MINRES iteration count and one accepted length per Newton step
+    sol, _ = _counted_newton(monkeypatch)
+    st = sol.stats
+    assert len(st["newton_inner_iterations"]) == st["newton_steps"] > 0
+    assert len(st["newton_damping"]) == st["newton_steps"]
+    assert all(0 < its < sol.N for its in st["newton_inner_iterations"])
+    assert st["newton_damping"] == [1.0] * st["newton_steps"]
+    # the overlong step of test_newton_damping_halves_an_overlong_step
+    sol, _ = _counted_newton(monkeypatch, scale=4.0)
+    assert len(sol.stats["newton_damping"]) == sol.stats["newton_steps"]
+    # no step of four times the Newton length is taken whole
+    assert max(sol.stats["newton_damping"]) <= 0.5
+    assert 0.25 in sol.stats["newton_damping"]
+    flow = solver.solve_profile("II", DP, potential=solver.Potential.quartic(),
+                                X=50.0, N=1024, method="gradient-flow")
+    assert flow.stats["newton_steps"] == 0
+    assert flow.stats["newton_inner_iterations"] == []
+    assert flow.stats["newton_damping"] == []
+
+
+def _dense_linearization(sol):
+    """The dense matrices of (-Delta)^(1/2) and of the linearisation
+    (-Delta)^(1/2) + W''(psi)/m on the solution's grid."""
+    n = sol.N
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * sol.X / n)
+    F = np.fft.fft(np.eye(n), axis=0)
+    absk = (np.conj(F).T @ (np.abs(k)[:, None] * F)).real / n
+    return absk, absk + np.diag(sol.potential.d2w(sol.psi) / sol.m_e)
+
+
+def test_minres_matches_dense_solve():
+    # the Jacobian |k| + W''(psi)/m of the quartic profile (N = 256) is
+    # indefinite: W'' < 0 in the core
+    pot = solver.Potential.quartic(1.0)
+    sol = solver.solve_profile("II", DP, potential=pot, X=25.0, N=256)
+    n = sol.N
+    absk, J = _dense_linearization(sol)
+    dpot = pot.d2w(sol.psi) / sol.m_e
+    eig = np.linalg.eigvalsh(J)
+    assert eig[0] < 0.0 < eig[-1] and np.min(np.abs(eig)) > 1e-3
+    Minv = np.linalg.inv(absk + np.mean(np.abs(dpot)) * np.eye(n))
+    b = np.random.default_rng(1).standard_normal(n)
+    x, info, its = solver._minres(lambda d: J @ d, b, lambda r: Minv @ r,
+                                  rtol=1e-13, maxiter=n)
+    ref = np.linalg.solve(J, b)
+    assert info == 0 and 0 < its < n
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    x, info, its = solver._minres(lambda d: J @ d, b, lambda r: Minv @ r,
+                                  rtol=1e-13, maxiter=3)
+    assert info != 0 and its == 3
 
 
 def test_newton_budget_exhausted(monkeypatch):
@@ -307,7 +361,7 @@ def test_newton_budget_exhausted(monkeypatch):
     ref, _ = _counted_newton(monkeypatch)
     exc, n = _counted_newton(monkeypatch, scale=0.02)
     assert isinstance(exc, solver.SolverError)
-    assert n["gmres"] == 4 * 40
+    assert n["minres"] == 4 * 40
     assert len(exc.history) == ref.stats["flow_steps"] + 1 + 4 * 41
     assert n["dw"] == len(exc.history) + 4 * 40
     assert exc.history[-1] < exc.history[-41]
@@ -367,8 +421,16 @@ def test_stability_converges_at_spectrum_edge():
     st = sol.stats
     assert st["lobpcg_converged"] is True
     assert st["lobpcg_residual"] <= 1e-9
-    assert st["lobpcg_iterations"] < 400
+    assert st["lobpcg_iterations"] < 80
     assert abs(vals[0]) <= 1e-4 and 1.0 < vals[1] < vals[2] < 1.001
+
+
+def test_stability_rejects_block_sizes_outside_the_grid():
+    sol = solver.solve_profile("II", DP, X=25.0, N=256)
+    for n_eig in (0, -1, 65):
+        with pytest.raises(ValueError, match="n_eig"):
+            solver.check_stability(sol, n_eig=n_eig)
+    assert solver.check_stability(sol, n_eig=1).shape == (1,)
 
 
 @pytest.mark.parametrize("scale", [None, 1.0])
@@ -376,12 +438,21 @@ def test_stability_matches_dense_eigh(scale):
     pot = None if scale is None else solver.Potential.quartic(scale)
     sol = solver.solve_profile("II", DP, potential=pot, X=25.0, N=256)
     vals = solver.check_stability(sol, n_eig=6)
-    n = sol.N
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * sol.X / n)
-    F = np.fft.fft(np.eye(n), axis=0)
-    A = (np.conj(F).T @ (np.abs(k)[:, None] * F)).real / n \
-        + np.diag(sol.potential.d2w(sol.psi) / sol.m_e)
+    A = _dense_linearization(sol)[1]
     dense = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[0, 5])
+    assert np.max(np.abs(vals - dense)) <= 1e-9
+
+
+@pytest.mark.parametrize("n_eig", [32, 64])
+def test_stability_large_block_matches_dense_eigh(n_eig):
+    # blocks up to N/4 on a stiff quartic: P's and W's images stay exact
+    # enough that the recurrence for AX does not drift (without projecting
+    # W out of P it reached residuals of 1e9 here)
+    pot = solver.Potential.quartic(20.0)
+    sol = solver.solve_profile("II", DP, potential=pot, X=25.0, N=256)
+    vals = solver.check_stability(sol, n_eig=n_eig)
+    dense = np.linalg.eigvalsh(_dense_linearization(sol)[1])[:n_eig]
+    assert sol.stats["lobpcg_converged"] is True
     assert np.max(np.abs(vals - dense)) <= 1e-9
 
 
