@@ -190,6 +190,8 @@ def _cmd_solve(args):
         raise _ArgumentError("--scale applies to --potential quartic only")
     if args.n_eig < 1:
         raise _ArgumentError("--n-eig must be at least 1")
+    if args.n_eig > args.N // 4:
+        raise _ArgumentError(f"--n-eig must be at most N/4 = {args.N // 4}")
     try:
         sol = solver.solve_profile(c.name, params, potential=pot,
                                    theta=args.theta, X=args.X, N=args.N,

@@ -26,6 +26,7 @@ Both linear solvers, MINRES and LOBPCG, are written here on numpy alone.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Optional
 
@@ -148,9 +149,10 @@ class ProfileSolution:
     #: run record: flow_steps, newton_steps, centering_passes,
     #: newton_inner_iterations (MINRES iterations per Newton step),
     #: newton_damping (accepted length t per Newton step, 0 if none lowered
-    #: the residual) and far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|)
-    #: over the end samples from solve_profile; lobpcg_iterations,
-    #: lobpcg_residual, lobpcg_converged from check_stability
+    #: the residual), far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|)
+    #: over the end samples and stage_s (seconds in the flow and Newton
+    #: step rules and in centering) from solve_profile; lobpcg_iterations,
+    #: lobpcg_residual, lobpcg_converged and lobpcg_s from check_stability
     stats: dict = dfield(default_factory=dict, repr=False)
 
     def psi_prime(self) -> np.ndarray:
@@ -164,8 +166,8 @@ def _kgrid(n: int, X: float) -> np.ndarray:
 
 
 def _multiply(symbol, v):
-    """Apply a multiplier on the real-FFT grid to the columns of v."""
-    return np.fft.irfft(symbol * np.fft.rfft(v, axis=0), v.shape[0], axis=0)
+    """Apply a multiplier on the real-FFT grid along the last axis of v."""
+    return np.fft.irfft(symbol * np.fft.rfft(v), v.shape[-1])
 
 
 def _background(x):
@@ -175,7 +177,7 @@ def _background(x):
 
 
 def _linearized(absk, dpot, d):
-    """(-Delta)^(1/2) d + (W''(psi)/m) d on the columns of d, with dpot the
+    """(-Delta)^(1/2) d + (W''(psi)/m) d on the rows of d, with dpot the
     sampled W''(psi)/m."""
     return _multiply(absk, d) + dpot * d
 
@@ -223,78 +225,63 @@ def _minres(A, b, M, rtol, maxiter):
 
 
 def _cholqr(V):
-    """R^-1 of the Cholesky-QR V = (V R^-1) R, R^T R = V^T V; LinAlgError
-    if the Cholesky factorisation fails."""
-    return np.linalg.inv(np.linalg.cholesky(V.T @ V)).T
-
-
-def _gram(S, T):
-    """The block matrix [S_i^T T_j], its blocks below the diagonal taken as
-    the transposes of those above it."""
-    B = [[None] * len(S) for _ in S]
-    for i, a in enumerate(S):
-        for j in range(i, len(S)):
-            B[i][j] = a.T @ T[j]
-            B[j][i] = B[i][j].T
-    return np.block(B)
+    """L^-1 of the Cholesky-QR V = L (L^-1 V), L L^T = V V^T, so that the
+    rows of L^-1 V are orthonormal; LinAlgError if the Cholesky
+    factorisation fails."""
+    return np.linalg.inv(np.linalg.cholesky(V @ V.T))
 
 
 def _lobpcg(A, T, X, tol, maxiter):
     """Smallest eigenpairs of a symmetric operator by LOBPCG (Knyazev 2001)
-    from the orthonormal columns of X.
+    from the orthonormal rows of X.
 
-    A(V) applies the operator to the columns of V, T(R, theta) the
-    preconditioner for Ritz values theta to the residual columns R.  Soft
-    locking: a column whose residual norm is at most tol gets neither a
-    preconditioned residual W nor a direction P, but stays in the
-    Rayleigh-Ritz basis [X W P].  P is projected out of X, W out of X and
-    P, and each is orthonormalised by Cholesky-QR, W before A is applied
-    to it, so that AW is exact and the basis orthonormal up to rounding.
-    Returns (Ritz values ascending, Ritz vectors, iterations)."""
-    n = X.shape[1]
+    Every block is a C-contiguous stack of rows.  A(V) applies the operator
+    to the rows of V, T(R, theta) the preconditioner for Ritz values theta
+    to the residual rows R.  Soft locking: a row whose residual norm is at
+    most tol gets neither a preconditioned residual W nor a direction P,
+    but stays in the Rayleigh-Ritz basis S = [X; P; W].  P is projected out
+    of X, W out of X and P, and each is orthonormalised by Cholesky-QR, W
+    before A is applied to it, so that AW is exact and S orthonormal up to
+    rounding.  Returns (Ritz values ascending, Ritz vectors, iterations)."""
+    n = X.shape[0]
     AX = A(X)
-    theta, C = np.linalg.eigh(X.T @ AX)
-    X, AX, P, AP = X @ C, AX @ C, None, None
+    theta, C = np.linalg.eigh(X @ AX.T)
+    X, AX, P, AP = C.T @ X, C.T @ AX, None, None
     for it in range(maxiter):
-        R = AX - X * theta
-        act = np.einsum("ij,ij->j", R, R) > tol * tol
+        R = AX - theta[:, None] * X
+        act = np.einsum("ij,ij->i", R, R) > tol * tol
         if not act.any():
             return theta, X, it
-        W = T(R[:, act], theta[act])
-        W -= X @ (X.T @ W)
+        W = T(R[act], theta[act])
+        W -= (W @ X.T) @ X
         # with P first; a Cholesky factor that fails restarts without it
         for with_p in (True, False) if P is not None else (False,):
             try:
                 S, AS, V = [X], [AX], W
                 if with_p:
-                    Pa, APa = P[:, act], AP[:, act]
-                    Y = X.T @ Pa
-                    Pa -= X @ Y
-                    APa -= AX @ Y
+                    Pa, APa = P[act], AP[act]
+                    Y = Pa @ X.T
+                    Pa -= Y @ X
+                    APa -= Y @ AX
                     Ri = _cholqr(Pa)
-                    S.append(Pa @ Ri)
-                    AS.append(APa @ Ri)
-                    V = W - S[1] @ (S[1].T @ W)
-                V = V @ _cholqr(V)
-                S.append(V)
-                AS.append(A(V))
-                Li = np.linalg.inv(np.linalg.cholesky(_gram(S, S)))
+                    S.append(Ri @ Pa)
+                    AS.append(Ri @ APa)
+                    V = W - (W @ S[1].T) @ S[1]
+                V = _cholqr(V) @ V
+                S, AS = np.vstack(S + [V]), np.vstack(AS + [A(V)])
+                Li = np.linalg.inv(np.linalg.cholesky(S @ S.T))
             except np.linalg.LinAlgError:
                 continue
             break
         else:
             return theta, X, it
-        # Rayleigh-Ritz on span[X W P] through the Gram matrix L L^T of S
-        H = _gram(S, AS)
+        # Rayleigh-Ritz on span S through its Gram matrix L L^T
+        H = S @ AS.T
         vals, V = np.linalg.eigh(Li @ (0.5 * (H + H.T)) @ Li.T)
-        Cx, *Cs = np.split(Li.T @ V[:, :n],
-                           np.cumsum([b.shape[1] for b in S[:-1]]))
+        C = V[:, :n].T @ Li
         theta = vals[:n]
-        P = sum(b @ c for b, c in zip(S[1:], Cs))
-        AP = sum(b @ c for b, c in zip(AS[1:], Cs))
-        X, AX = X @ Cx, AX @ Cx
-        X += P
-        AX += AP
+        X, AX = C @ S, C @ AS
+        P, AP = C[:, n:] @ S[n:], C[:, n:] @ AS[n:]
     return theta, X, maxiter
 
 
@@ -308,11 +295,16 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     If `potential` is omitted, the cosine potential with amplitude m(e) is
     used (its exact solution is the arctan background).  `method` is
     "gradient-flow" (semi-implicit flow all the way) or "newton" (flow to a
-    rough residual, then damped Newton).  Raises SolverError on
-    non-convergence with the residual history attached.
+    rough residual, then damped Newton).  Raises ValueError unless X > 0 is
+    finite and N >= 4, and SolverError on non-convergence with the residual
+    history attached.
     """
     if not -0.5 * np.pi < theta < 0.5 * np.pi:
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
+    if not (math.isfinite(X) and X > 0.0):
+        raise ValueError(f"X = {X} is not a finite positive half-width")
+    if not N >= 4:
+        raise ValueError(f"N = {N} grid points; at least 4 are needed")
     if method not in ("gradient-flow", "newton"):
         raise ValueError(f"unknown method {method!r}")
     c = regions.case(case)
@@ -335,7 +327,14 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     v = np.zeros(N) if v0 is None else np.array(v0, dtype=float)
     history = []
     stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0,
-             "newton_inner_iterations": [], "newton_damping": []}
+             "newton_inner_iterations": [], "newton_damping": [],
+             "stage_s": dict.fromkeys(("flow", "newton", "centering"), 0.0)}
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        stats["stage_s"][stage] += time.perf_counter() - t0
+        return out
 
     def residual(v):
         F = _multiply(absk, v) + half_lap_phi + pot.dw(phi + v) / m_e
@@ -403,14 +402,14 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
         return SolverError(f"no convergence to {tol_solve:g} (last residual "
                            f"{history[-1]:.3e})", history)
 
-    step, budget = ((newton_step, 40) if method == "newton"
-                    else (flow_step, max_iter))
-    iterate(flow_step, NEWTON_SWITCH if method == "newton" else tol_solve,
-            max_iter)
+    stage, step, budget = (("newton", newton_step, 40) if method == "newton"
+                           else ("flow", flow_step, max_iter))
+    timed("flow", iterate, flow_step,
+          NEWTON_SWITCH if method == "newton" else tol_solve, max_iter)
     for _ in range(4):
-        center()
+        timed("centering", center)
         start = v
-        if iterate(step, tol_solve, budget):
+        if timed(stage, iterate, step, tol_solve, budget):
             if abs(_zero_crossing(x, phi + v)) < 1e-9:
                 break
         elif v is start:
@@ -453,17 +452,18 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     inverse of the shifted operator, (|k| + sigma - theta)^-1, with the shift
     floored at PRECOND_SHIFT * sigma (> 0 for every Potential).  Returns the
     sorted eigenvalues; stores lambda_min on the solution and the LOBPCG
-    iterations, final largest residual norm and convergence in its stats.
+    iterations, final largest residual norm, convergence and wall time in
+    its stats.
     Raises ValueError unless 1 <= n_eig <= N/4: the residuals are orthogonal
-    to the 3 n_eig columns of the LOBPCG basis [X W P], and W needs n_eig
+    to the 3 n_eig rows of the LOBPCG basis [X; P; W], and W needs n_eig
     independent ones among the remaining N - 3 n_eig dimensions.
     """
     N, X = sol.N, sol.X
     if not 1 <= n_eig <= N // 4:
         raise ValueError(f"n_eig = {n_eig} outside [1, N/4] for N = {N}")
-    absk = _kgrid(N, X)[:, None]
+    absk = _kgrid(N, X)
     pot = sol.potential
-    dpot = (pot.d2w(sol.psi) / sol.m_e)[:, None]
+    dpot = pot.d2w(sol.psi) / sol.m_e
     sigma = float(min(pot.d2w(-1.0), pot.d2w(1.0))) / sol.m_e
 
     def matvec(d):
@@ -471,22 +471,25 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
 
     def precond(r, theta):
         shift = np.maximum(sigma - theta, PRECOND_SHIFT * sigma)
-        return _multiply(1.0 / (absk + shift), r)
+        return _multiply(1.0 / (absk + shift[:, None]), r)
 
     rng = np.random.default_rng(0)
     X0 = np.empty((N, n_eig))
     tr = sol.psi_prime()
     X0[:, 0] = tr / np.linalg.norm(tr)
     X0[:, 1:] = rng.standard_normal((N, n_eig - 1))
-    X0, _ = np.linalg.qr(X0)
+    X0 = np.ascontiguousarray(np.linalg.qr(X0)[0].T)
     tol = 1e-9
     # the recurrence's residuals can differ from the one recomputed below
     # in the last digits; aim below tol
+    t0 = time.perf_counter()
     vals, vecs, its = _lobpcg(matvec, precond, X0, 0.5 * tol, LOBPCG_MAXITER)
-    res = float(np.max(np.linalg.norm(matvec(vecs) - vecs * vals, axis=0)))
+    lobpcg_s = time.perf_counter() - t0
+    res = float(np.max(np.linalg.norm(matvec(vecs) - vals[:, None] * vecs,
+                                      axis=1)))
     sol.lambda_min = float(vals[0])
     sol.stats.update(lobpcg_iterations=its, lobpcg_residual=res,
-                     lobpcg_converged=res <= tol)
+                     lobpcg_converged=res <= tol, lobpcg_s=lobpcg_s)
     return vals
 
 

@@ -103,7 +103,11 @@ def test_solve_quick(tmp_path, capsys):
                                  "centering_passes", "newton_inner_iterations",
                                  "newton_damping", "far_field_gap",
                                  "lobpcg_iterations", "lobpcg_residual",
-                                 "lobpcg_converged"}
+                                 "lobpcg_converged", "lobpcg_s", "stage_s"}
+    assert set(rep["stats"]["stage_s"]) == {"flow", "newton", "centering"}
+    assert all(t >= 0.0 for t in rep["stats"]["stage_s"].values())
+    assert rep["stats"]["stage_s"]["newton"] > 0.0
+    assert rep["stats"]["lobpcg_s"] > 0.0
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,psi"
     assert len(lines) == 1025
@@ -130,6 +134,8 @@ def test_solve_scale_only_with_quartic(capsys):
         code, out, _ = run(base + ["--potential", "quartic"] + extra, capsys)
         assert code == 0
         reps.append(json.loads(out))
+        # wall times differ from run to run
+        del reps[-1]["stats"]["lobpcg_s"], reps[-1]["stats"]["stage_s"]
     assert reps[0] == reps[1]
     assert reps[2]["eigenvalues"] != reps[0]["eigenvalues"]
 
@@ -161,6 +167,27 @@ def test_solve_rejects_n_eig_below_one_before_solving(monkeypatch, capsys,
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""
     assert "--n-eig" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("size, msg", [(["--X", "-5"], "X = -5"),
+                                       (["--N", "0"], "--n-eig"),
+                                       (["--N", "3"], "--n-eig"),
+                                       (["--N", "16"], "--n-eig")])
+def test_solve_rejects_grid_sizes_before_solving(monkeypatch, capsys, size,
+                                                 msg):
+    # N < 4 leaves no room for one eigenvalue, and --N 16 admits at most 4,
+    # fewer than the default 6
+    from pndislo import solver
+
+    def no_step(*args):
+        raise AssertionError("solver ran")
+
+    monkeypatch.setattr(solver, "_multiply", no_step)
+    code, out, err = run(["solve", "--case", "II", "--nu", "0.25"] + size,
+                         capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert msg in json.loads(err)["error"]
 
 
 def test_extend_quick(capsys):

@@ -1,8 +1,11 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pndislo import kernels, regions, solver, symbols
+from pndislo import cli, kernels, regions, solver, symbols
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
                             perp_from_parameters, perp_to_constants)
 
@@ -400,6 +403,10 @@ def test_solver_input_validation():
         solver.solve_profile("II", DP, theta=2.0)
     with pytest.raises(ValueError):
         solver.solve_profile("II", DP, method="bogus")
+    for size in ({"X": -5.0}, {"X": 0.0}, {"X": float("nan")},
+                 {"X": float("inf")}, {"N": 0}, {"N": 3}):
+        with pytest.raises(ValueError, match=next(iter(size))):
+            solver.solve_profile("II", DP, **size)
 
 
 def test_stability_translation_mode_near_zero():
@@ -454,6 +461,92 @@ def test_stability_large_block_matches_dense_eigh(n_eig):
     dense = np.linalg.eigvalsh(_dense_linearization(sol)[1])[:n_eig]
     assert sol.stats["lobpcg_converged"] is True
     assert np.max(np.abs(vals - dense)) <= 1e-9
+
+
+def _dense_problem(locked=False, n=64, k=3):
+    """A(V) = V M for a symmetric M with spectrum in [1, 10], and k
+    orthonormal start rows; with `locked`, M[0, 0] = 0.5 is decoupled from
+    the rest and the first start row is its eigenvector e_0."""
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = (Q * np.linspace(1.0, 10.0, n)) @ Q.T
+    M = 0.5 * (M + M.T)
+    start = rng.standard_normal((n, k))
+    if locked:
+        M[0, :] = M[:, 0] = 0.0
+        M[0, 0] = 0.5
+        start[:, 0] = np.eye(n)[0]
+        start[0, 1:] = 0.0
+    X0 = np.ascontiguousarray(np.linalg.qr(start)[0].T)
+    return M, X0
+
+
+def test_lobpcg_matches_dense_eigvalsh():
+    M, X0 = _dense_problem()
+    vals, vecs, its = solver._lobpcg(lambda V: V @ M, lambda R, th: R, X0,
+                                     1e-10, 400)
+    assert its < 400 and vecs.shape == X0.shape
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(M)[:3])) <= 1e-10
+    assert np.max(np.abs(vecs @ vecs.T - np.eye(3))) <= 1e-12
+
+
+def test_lobpcg_soft_locks_an_exact_eigenvector():
+    M, X0 = _dense_problem(locked=True)
+    rows = []
+
+    def precond(R, theta):
+        rows.append(R.shape[0])
+        return R
+
+    vals, _, its = solver._lobpcg(lambda V: V @ M, precond, X0, 1e-10, 400)
+    assert its < 400 and len(rows) == its
+    # e_0 never gets a W row: at most 2 of the 3 rows are preconditioned
+    assert rows[0] == 2 and max(rows) == 2
+    assert abs(vals[0] - 0.5) <= 1e-14
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(M)[:3])) <= 1e-10
+
+
+def _failing_cholqr(monkeypatch, fails):
+    """Patch solver._cholqr so that call number i (from 0) raises
+    LinAlgError where fails(i) holds; returns the list of call numbers
+    that raised."""
+    raised, calls, cholqr = [], itertools.count(), solver._cholqr
+
+    def patched(V):
+        i = next(calls)
+        if fails(i):
+            raised.append(i)
+            raise np.linalg.LinAlgError("patched")
+        return cholqr(V)
+
+    monkeypatch.setattr(solver, "_cholqr", patched)
+    return raised
+
+
+def test_stability_restarts_without_p(monkeypatch):
+    # iteration 0 has no P and factors W alone (call 0); iteration 1
+    # factors P first (call 1): failing it restarts that step on [X; W]
+    pot = solver.Potential.quartic(1.0)
+    sol = solver.solve_profile("II", DP, potential=pot, X=25.0, N=256)
+    raised = _failing_cholqr(monkeypatch, lambda i: i == 1)
+    vals = solver.check_stability(sol, n_eig=6)
+    assert raised == [1]
+    assert sol.stats["lobpcg_converged"] is True
+    dense = np.linalg.eigvalsh(_dense_linearization(sol)[1])[:6]
+    assert np.max(np.abs(vals - dense)) <= 1e-9
+
+
+def test_stability_returns_early_when_both_factors_fail(monkeypatch,
+                                                         capsys):
+    raised = _failing_cholqr(monkeypatch, lambda i: i >= 1)
+    code = cli.main(["solve", "--case", "II", "--nu", "0.25", "--X", "25",
+                     "--N", "256"])
+    # the P factor and then the W factor of iteration 1 fail
+    assert raised == [1, 2]
+    assert code == cli.EXIT_NO_CONVERGENCE
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["lobpcg_iterations"] == 1
+    assert stats["lobpcg_converged"] is False
 
 
 def test_reconstruct_2d_residual_small():
