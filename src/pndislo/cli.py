@@ -151,6 +151,8 @@ def _cmd_region(args):
 def _cmd_symbol(args):
     c = regions.case(args.case)
     ec = _material_constants(args)
+    if not (math.isfinite(args.k1) and math.isfinite(args.k2)):
+        raise _ArgumentError("k must be finite")
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise _ArgumentError("k must be nonzero")
     params = c.derive(ec)
@@ -220,6 +222,11 @@ def _cmd_extend(args):
     if m1 == 0 and m2 == 0:
         raise _ArgumentError("mode indices (m1, m2) must not both be 0")
     amp = args.amplitude
+    # log|u| fits the decay rate; x2_max sets the normal step
+    if not (math.isfinite(amp) and amp != 0.0):
+        raise _ArgumentError("--amplitude must be finite and nonzero")
+    if not (math.isfinite(args.x2_max) and args.x2_max > 0.0):
+        raise _ArgumentError("--x2-max must be finite and positive")
 
     def f_a(x, y):
         return amp * np.cos(2.0 * np.pi * (m1 * x + m2 * y) / L)
@@ -248,7 +255,7 @@ def _cmd_extend(args):
 
 def _cmd_verify(args):
     from .moduli import ElasticConstants, from_isotropic, \
-        perp_from_parameters, perp_to_constants, stiffness, derive_parallel
+        perp_from_parameters, perp_to_constants, derive_parallel
     from . import kernels
     from .nonlocal_ops import GridField2D, apply_kernel_quadrature, \
         apply_multiplier
@@ -329,12 +336,9 @@ def _cmd_verify(args):
     checks["extension_identity"] = e_ext
     ok = ok and e_ext <= 1e-12
 
-    # dtn_parallel against the 3D traction map -2 sigma_sn(0+) of unit slip
-    # data (normal x3) at the last material above, (3, 1, 2.5, 1.2, 0.8)
-    U = np.eye(3, dtype=complex)[:, :2]
-    U[2] = extension.normal_closure(sys_, ec, U[0], U[1])
-    Cs = stiffness(ec)[:2, 2]                       # C_snkl, s on (x1, x2)
-    A = -2.0 * (Cs[..., 2] @ sys_.dbplus0() + 1j * Cs[..., :2] @ [k1, k2]) @ U
+    # dtn_parallel against the 3D traction map at the last material above,
+    # (3, 1, 2.5, 1.2, 0.8)
+    A = extension.traction_map("parallel", ec, k1, k2)
     dtn = regions.case("III").dtn(derive_parallel(ec), k1, k2)
     gap = float(np.max(np.abs(A - dtn)) / np.max(np.abs(dtn)))
     checks["parallel_traction_map"] = gap

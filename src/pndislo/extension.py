@@ -237,6 +237,22 @@ def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
     return -(row[..., sa] * u_a + row[..., sb] * u_b) / row[..., n]
 
 
+def traction_map(orientation: str, ec: ElasticConstants, k1, k2):
+    """The 3D slip-plane traction map -2 sigma_sn(0+) of unit slip data at
+    nonzero frequencies k1, k2: shape k1.shape + (2, 2), columns the slip
+    axes.  u_n from `normal_closure`, d_n = dbplus0() and d_s = i k_s."""
+    sys = build_halfspace(orientation, ec, k1, k2)
+    n, slip = _axes(orientation)[:2]
+    U = np.zeros(np.shape(k1) + (3, 2), dtype=complex)
+    U[..., slip, [0, 1]] = 1.0
+    U[..., n, :] = np.stack([normal_closure(sys, ec, *u)
+                             for u in ((1.0, 0.0), (0.0, 1.0))], -1)
+    C = stiffness(ec)[slip, n]                      # C_snkl
+    grad = C[..., n] @ sys.dbplus0() + 1j * np.einsum(
+        "skt,...t->...sk", C[..., slip], np.stack([k1, k2], -1))
+    return -2.0 * grad @ U
+
+
 @dataclass
 class Field3D:
     """Displacement field sampled on slip-plane grid x normal coordinates.

@@ -15,10 +15,10 @@ that K is -3-homogeneous.  The cases differ only in their coefficients:
 The case-I composite kernel is a weighted pair (K1, K2) because the two
 radial factors differ.
 
-Each kernel term satisfies a second/fourth-order PDE whose operator is its P
-with x1^2 and x3^2 swapped and read as derivatives; `pde_residual` verifies it
-numerically by high-order finite differences in extended precision (no
-computer-algebra layer).
+Each kernel term solves P~(d) K = prefactor * Q(d) (x1^2 + w x3^2)^(-3/2):
+P~ is its P with x1^2 and x3^2 swapped, Q the numerator polynomial of the
+case's symbol, both read as derivatives (table in `pde_residual`, which
+checks it by high-order finite differences in extended precision).
 """
 
 from __future__ import annotations
@@ -244,62 +244,42 @@ def _fd(f, x1, x3, m1, m3, h):
     return acc / h ** (m1 + m3)
 
 
-def _rhs_case1_K1(dp, x1, x3):
-    p, de = _L(dp.p), _L(dp.delta)
-    d1 = 8 * p - 2 * de * (1 + p) + de ** 2
-    d2 = de * (-12 * p + 17 * (1 + p) * de - 12 * de ** 2)
-    d3 = de ** 2 * (p - 2 * de * (1 + p) + 8 * de ** 2)
-    return 45 * (d1 * x1 ** 4 + d2 * x1 ** 2 * x3 ** 2 + d3 * x3 ** 4) \
-        / (x1 ** 2 + de * x3 ** 2) ** _L(5.5)
-
-
-def _rhs_case1_K2(dp, x1, x3):
-    p = _L(dp.p)
-    return 45 * ((8 * p - 2) * x1 ** 4 + (17 - 12 * p) * x1 ** 2 * x3 ** 2
-                 + (p - 2) * x3 ** 4) / (x1 ** 2 + x3 ** 2) ** _L(5.5)
-
-
-def _d2_inv_r3(x1, x3, i):
-    """Analytic second derivative of |z|^-3 along axis i:
-    3 (5 z_i^2 - |z|^2) / |z|^7."""
-    r2 = x1 ** 2 + x3 ** 2
-    zi2 = x1 ** 2 if i == 0 else x3 ** 2
-    return 3 * (5 * zi2 - r2) / r2 ** _L(3.5)
-
-
-def _rhs_case2(dp, x1, x3):
-    return 2 * _L(dp.mu) * (_L(dp.p) * _d2_inv_r3(x1, x3, 0)
-                            + _d2_inv_r3(x1, x3, 1))
-
-
-def _rhs_case3(dpar, x1, x3):
-    return _L(dpar.eta1) * _L(dpar.eta2) * (_d2_inv_r3(x1, x3, 0)
-                                            + _d2_inv_r3(x1, x3, 1))
+def _op(coeffs, f, x1, x3, h):
+    """sum_i coeffs[i] d1^(2(n-1-i)) d3^(2i) f at (x1, x3), by `_fd`."""
+    n = len(coeffs)
+    return sum(_L(a) * _fd(f, x1, x3, 2 * (n - 1 - i), 2 * i, h)
+               for i, a in enumerate(coeffs) if a)
 
 
 #: pde_residual's cases: the kernel whose one term the PDE holds for, and
-#: the analytic right side G
-_PDE = {"I_K1": (lambda dp: kernel_case1_parts(dp)[0], _rhs_case1_K1),
-        "I_K2": (lambda dp: kernel_case1_parts(dp)[1], _rhs_case1_K2),
-        "II": (kernel_case2, _rhs_case2),
-        "III": (kernel_case3, _rhs_case3)}
+#: the numerator Q of the case's symbol, descending in d1
+_PDE = {"I_K1": (lambda dp: kernel_case1_parts(dp)[0],
+                 lambda dp: (dp.p, dp.p + 1.0, 1.0)),
+        "I_K2": (lambda dp: kernel_case1_parts(dp)[1],
+                 lambda dp: (dp.p, 1.0, 0.0)),
+        "II": (kernel_case2, lambda dp: (dp.p, 1.0)),
+        "III": (kernel_case3, lambda dpar: (1.0, 1.0))}
 
 
 def pde_residual(case: str, params, x1, x3) -> float:
     """Relative residual of the defining kernel PDE at a point.
 
-    The operator is the term's P = sum_i P_i x1^(2(n-1-i)) x3^(2i) with x1
-    and x3 swapped and read as derivatives, sum_i P_i d1^(2i) d3^(2(n-1-i));
-    only the right side G is per case:
+    A kernel term with prefactor s and radial weight w solves
+    P~(d) K = s Q(d) (x1^2 + w x3^2)^(-3/2): P~ is its P with x1 and x3
+    swapped, Q the numerator of the case's symbol, both read as derivatives
+    (Q descending in d1; x3 stands for x2 in case III):
 
-    case "I_K1": (c d1^4 + b d1^2 d3^2 + d3^4) K1 = G1
-    case "I_K2": same operator on K2 = G2
-    case "II":   (p d1^2 + q d3^2) K = 2 mu (p d1^2 + d3^2) |z|^-3
-    case "III":  (eta2 d1^2 + eta1 d2^2) K = eta1 eta2 (d1^2 + d2^2) |z|^-3
+    case "I_K1" (w = delta, s = 1):      Q = (p d1^2 + d3^2)(d1^2 + d3^2)
+    case "I_K2" (w = 1, s = 1):          Q = d1^2 (p d1^2 + d3^2)
+    case "II"   (w = 1, s = 2 mu):       Q = p d1^2 + d3^2
+    case "III"  (w = 1, s = eta1 eta2):  Q = d1^2 + d2^2
 
-    Left side by order-FD_ORDER central finite differences in extended
-    precision with h = FD_H_REL * |x|; right side analytic.  Returns
-    |L K - G|/(|G| + 1).
+    In case I, (r1 r2 - nu k1^2)(r1 r2 + nu k1^2) = P~(k)/delta: the symbol
+    times (r1 r2 + nu k1^2) above and below splits into the K1 part
+    (p k1^2 + k3^2) r2^2 r1 and the K2 part nu k1^2 (p k1^2 + k3^2) r2.
+
+    Both sides by order-FD_ORDER central finite differences in extended
+    precision with h = FD_H_REL * |x|.  Returns |L K - G|/(|G| + 1).
     """
     if case not in _PDE:
         raise ValueError(f"unknown PDE case {case!r}")
@@ -309,13 +289,12 @@ def pde_residual(case: str, params, x1, x3) -> float:
     h = _L(FD_H_REL) * _L(r)
     x1 = _L(x1)
     x3 = _L(x3)
-    kernel, rhs = _PDE[case]
+    kernel, q = _PDE[case]
     f = kernel(params).terms[0]
-    n = len(f.den_coeffs)
-    # highest power of d1 first
-    lhs = sum(_L(f.den_coeffs[i]) * _fd(f, x1, x3, 2 * i, 2 * (n - 1 - i), h)
-              for i in reversed(range(n)))
-    g = rhs(params, x1, x3)
+    w = _L(f.radial_weight)
+    lhs = _op(f.den_coeffs[::-1], f, x1, x3, h)
+    g = _L(f.prefactor) * _op(
+        q(params), lambda a, b: (a * a + w * b * b) ** _L(-1.5), x1, x3, h)
     return float(abs(lhs - g) / (abs(g) + 1))
 
 

@@ -206,6 +206,26 @@ def test_extend_rejects_nyquist_mode(capsys):
     assert "Nyquist" in json.loads(err)["error"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, msg", [
+    (["extend", "--orientation", "perp", "--amplitude", "0"], "--amplitude"),
+    (["extend", "--orientation", "perp", "--amplitude", "nan"],
+     "--amplitude"),
+    (["extend", "--orientation", "perp", "--x2-max", "0"], "--x2-max"),
+    (["extend", "--orientation", "perp", "--x2-max", "-1"], "--x2-max"),
+    (["extend", "--orientation", "perp", "--x2-max", "inf"], "--x2-max"),
+    (["symbol", "--case", "I", "--delta", "2", "--k1", "nan", "--k2", "1"],
+     "finite"),
+    (["symbol", "--case", "II", "--k1", "1", "--k2", "inf"], "finite")])
+def test_degenerate_inputs_rejected_before_computing(capsys, argv, msg):
+    # a zero amplitude has no log for the decay-rate fit, a zero x2-max no
+    # normal step, a non-finite k no symbol: each printed NaN or warned
+    code, out, err = run(argv + ["--nu", "0.25"], capsys)
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    assert msg in json.loads(err)["error"]
+
+
 def test_extend_prints_stats(capsys):
     code, out, _ = run(["extend", "--orientation", "parallel", "--nu",
                         "0.25", "--n", "8", "--n2", "20"], capsys)

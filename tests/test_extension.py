@@ -553,25 +553,6 @@ def test_extend_reports_stats(orientation, ec):
     assert 0.0 <= fld.stats["spectrum_mismatch"] <= 1e-10
 
 
-def _traction_map(orientation, ec, k):
-    """-2 sigma_sn(0+) for unit slip data, with u_n from normal_closure and
-    d_n = dbplus0(): the 3D slip-plane traction map, columns the slip axes."""
-    C = stiffness(ec)
-    n = extension.NORMAL_AXIS[orientation]
-    slip = [a for a in range(3) if a != n]
-    sys = extension.build_halfspace(orientation, ec, *k)
-    A = np.zeros((2, 2), dtype=complex)
-    for col, s in enumerate(slip):
-        u = np.zeros(3, dtype=complex)
-        u[s] = 1.0
-        u[n] = extension.normal_closure(sys, ec, u[slip[0]], u[slip[1]])
-        grad = np.zeros((3, 3), dtype=complex)      # d_l u_k at [k, l]
-        grad[:, n] = sys.dbplus0() @ u
-        grad[:, slip] = 1j * np.outer(u, k)
-        A[:, col] = -2.0 * np.tensordot(C, grad, 2)[slip, n]
-    return A
-
-
 def _barnett_lothe(orientation, ec, k, n_omega=4096):
     """Independent oracle (Barnett-Lothe integral formalism): with m = k/|k|,
     n the slip normal, m(w) = m cos w + n sin w, n(w) = -m sin w + n cos w
@@ -621,7 +602,7 @@ def test_traction_map_matches_barnett_lothe(orientation, material):
         ec = material(rng)
         for k in rng.standard_normal((3, 2)):
             oracle = _barnett_lothe(orientation, ec, k)
-            A = _traction_map(orientation, ec, k)
+            A = extension.traction_map(orientation, ec, *k)
             assert np.max(np.abs(A - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -633,7 +614,7 @@ def test_dtn_parallel_matches_traction_map_anisotropic():
         ec = _random_parallel(rng)
         k = rng.standard_normal(2)
         dtn = symbols.dtn_parallel(derive_parallel(ec), *k)
-        A = _traction_map("parallel", ec, k)
+        A = extension.traction_map("parallel", ec, *k)
         assert np.max(np.abs(A - dtn)) <= 1e-12 * np.max(np.abs(dtn))
 
 
@@ -643,7 +624,7 @@ def test_traction_map_matches_dtn_isotropic(orientation, mu, nu):
     # the 3D map is the DtN matrix of `symbols` for isotropic media
     ec = from_isotropic(mu, nu)
     for k in [(0.6, 0.8), (1.3, -0.4), (0.0, 2.0), (-3.0, 0.5)]:
-        A = _traction_map(orientation, ec, k)
+        A = extension.traction_map(orientation, ec, *k)
         dtn = (symbols.dtn_perp(derive_perp(ec), *k) if orientation == "perp"
                else symbols.dtn_parallel(derive_parallel(ec), *k))
         assert np.max(np.abs(A - dtn)) <= 1e-13 * np.max(np.abs(dtn))

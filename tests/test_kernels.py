@@ -74,6 +74,31 @@ def test_pde_residuals_spot_checks():
             assert kernels.pde_residual(case, par, x1, x3) <= 1e-6
 
 
+@pytest.mark.parametrize("case", ["I_K1", "I_K2", "II", "III"])
+def test_pde_residual_tells_a_wrong_kernel(monkeypatch, case):
+    # one numerator coefficient off by 1e-4 (each nonzero one in turn) moves
+    # the worst residual over 10 angles from <= 1e-6 to >= 2e-5
+    par = DPAR_ISO if case == "III" else DP_ANISO
+    build, q = kernels._PDE[case]
+    term = build(par).terms[0]
+    th = np.linspace(0.05, np.pi / 2 - 0.05, 10)
+
+    def worst():
+        return max(kernels.pde_residual(case, par, math.cos(t), math.sin(t))
+                   for t in th)
+
+    assert worst() <= 1e-6
+    for j, a in enumerate(term.num_coeffs):
+        if a == 0.0:
+            continue
+        num = list(term.num_coeffs)
+        num[j] = a * (1.0 + 1e-4)
+        wrong = kernels.KernelForm(
+            case, (replace(term, num_coeffs=tuple(num)),))
+        monkeypatch.setitem(kernels._PDE, case, (lambda _: wrong, q))
+        assert worst() > 1e-6, j
+
+
 def test_pde_residual_rejects_origin_neighborhood():
     with pytest.raises(ValueError):
         kernels.pde_residual("II", DP_ISO, 1e-8, 0.0)
