@@ -156,11 +156,25 @@ def _cmd_symbol(args):
     if args.k1 == 0.0 and args.k2 == 0.0:
         raise _ArgumentError("k must be nonzero")
     params = c.derive(ec)
-    (a11, a12), (a21, a22) = c.dtn(params, args.k1, args.k2).tolist()
-    _emit({"case": c.name, "k1": args.k1, "k2": args.k2,
-           "m": float(c.symbol(params, args.k1, args.k2)),
+    # m and dtn are 1-homogeneous and det is 2-homogeneous: evaluated at
+    # k 2^-e, where squaring k cannot overflow or underflow, and scaled back
+    # exactly; a det beyond the float range is null
+    e = math.frexp(max(abs(args.k1), abs(args.k2)))[1]
+    k1, k2 = math.ldexp(args.k1, -e), math.ldexp(args.k2, -e)
+    (a11, a12), (a21, a22) = c.dtn(params, k1, k2).tolist()
+    det = a11 * a22 - a12 * a21
+    try:
+        m, a11, a12, a21, a22 = (math.ldexp(v, e) for v in (
+            float(c.symbol(params, k1, k2)), a11, a12, a21, a22))
+    except OverflowError:
+        raise _ArgumentError("k is too large: the symbol overflows") from None
+    try:
+        det = math.ldexp(det, 2 * e)
+    except OverflowError:
+        det = None
+    _emit({"case": c.name, "k1": args.k1, "k2": args.k2, "m": m,
            "dtn": {"a11": a11, "a12": a12, "a21": a21, "a22": a22,
-                   "det": a11 * a22 - a12 * a21}})
+                   "det": det}})
     return EXIT_OK
 
 
@@ -221,6 +235,11 @@ def _cmd_extend(args):
     m1, m2 = args.m1, args.m2
     if m1 == 0 and m2 == 0:
         raise _ArgumentError("mode indices (m1, m2) must not both be 0")
+    if not (math.isfinite(L) and L > 0.0):
+        raise _ArgumentError("--L must be finite and positive")
+    # the lower half-space gets n2 samples; interior_residual needs 17
+    if args.n2 < 17:
+        raise _ArgumentError("--n2 must be at least 17")
     amp = args.amplitude
     # log|u| fits the decay rate; x2_max sets the normal step
     if not (math.isfinite(amp) and amp != 0.0):

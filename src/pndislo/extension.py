@@ -84,6 +84,7 @@ class HalfSpaceSystem:
     k: tuple                              # (k1, k2)
     eigvals: np.ndarray                   # analytic decay rates r (3)
     D_decay: np.ndarray                   # Re(spectrum) < 0 (upper half)
+    stats: dict = dfield(default_factory=dict)   # what `build_halfspace` did
 
     def propagate(self, x, w: np.ndarray) -> np.ndarray:
         """exp(D_decay x) w in transformed variables, in closed form: x of
@@ -174,17 +175,20 @@ def _symmetric_functions(M: np.ndarray):
             np.linalg.det(M))
 
 
-def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
-    """HalfSpaceSystem at nonzero frequencies k1, k2 (arrays of one shape)
-    and a record {frequencies, spectrum_mismatch}.  D(k) = |k| D(k/|k|): at
-    the unit direction, with A the companion matrix and q(x) = x^3 - c1 x^2
-    + c2 x - c3 the cubic whose roots are the growing rates r/|k|, q(A)
-    vanishes on the growing subspace, so the columns X = q(A) [I; 0] lie in
-    {(w, D w)} and D = X_bot X_top^-1 (X_top is invertible: no growing
-    solution starts at w' = 0).  Raises LinAlgError unless the elementary
-    symmetric functions e_j of every D match those of minus the analytic
-    rates to 1e-10 |k|^j; spectrum_mismatch is the largest mismatch over
-    |k|^j."""
+def build_halfspace(orientation: str, ec: ElasticConstants,
+                    k1, k2) -> HalfSpaceSystem:
+    """The half-space system at nonzero slip-plane frequencies k1, k2
+    (scalars or arrays of one shape): (k1, k3), normal x2, for "perp";
+    (k1, k2), normal x3, for "parallel".  D(k) = |k| D(k/|k|): at the unit
+    direction, with A the companion matrix and q(x) = x^3 - c1 x^2 + c2 x -
+    c3 the cubic whose roots are the growing rates r/|k|, q(A) vanishes on
+    the growing subspace, so the columns X = q(A) [I; 0] lie in {(w, D w)}
+    and D = X_bot X_top^-1 (X_top is invertible: no growing solution starts
+    at w' = 0).  Raises LinAlgError unless the elementary symmetric
+    functions e_j of every D match those of minus the analytic rates to
+    1e-10 |k|^j; stats has the frequencies and the spectrum_mismatch, the
+    largest mismatch over |k|^j."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
     kk = np.hypot(k1, k2)
     if not np.all(kk > 0.0):
         raise ValueError("k = 0 has no decaying extension; handled separately")
@@ -208,17 +212,8 @@ def _halfspaces(orientation: str, ec: ElasticConstants, k1, k2):
                 f"companion spectrum mismatch (e{j}) at k = "
                 f"{k1.flat[bad[0]]}, {k2.flat[bad[0]]}")
         worst = max(worst, float(np.max(err / kk ** j, initial=0.0)))
-    return (HalfSpaceSystem(orientation, (k1, k2), r, D),
-            {"frequencies": int(kk.size), "spectrum_mismatch": worst})
-
-
-def build_halfspace(orientation: str, ec: ElasticConstants,
-                    k1: float, k2: float) -> HalfSpaceSystem:
-    """The half-space system at one slip-plane frequency, (k1, k3) with
-    normal x2 for "perp", (k1, k2) with normal x3 for "parallel": the
-    batched computation of `extend` on one frequency, raising as it does."""
-    return _halfspaces(orientation, ec, np.asarray(k1, dtype=float),
-                       np.asarray(k2, dtype=float))[0]
+    return HalfSpaceSystem(orientation, (k1, k2), r, D, {
+        "frequencies": int(kk.size), "spectrum_mismatch": worst})
 
 
 def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
@@ -259,7 +254,8 @@ class Field3D:
 
     u has shape (3, n_normal, n1, n2); normal samples are sorted and the
     slip plane sits between the negative and nonnegative samples.  The
-    component order is always the physical (u1, u2, u3).
+    component order is always the physical (u1, u2, u3).  du_normal is the
+    exact d u / d xn (from above at xn = 0) that `stress_strain` reads.
     """
 
     orientation: str
@@ -267,6 +263,7 @@ class Field3D:
     L2: float
     x_normal: np.ndarray
     u: np.ndarray
+    du_normal: np.ndarray = dfield(repr=False, default=None)
     ec: ElasticConstants = dfield(repr=False, default=None)
     stats: dict = dfield(default_factory=dict)     # what `extend` computed
 
@@ -299,9 +296,10 @@ def extend(orientation: str, ec: ElasticConstants,
     "parallel".  The normal component follows from `normal_closure`.  The
     upper field is propagated once per distinct |xn| and the lower one is
     its mirror image u(-xn) = J u(xn), the slip jump u- = J u+ at the plane;
-    the zero frequency extends as a constant.  A grid cannot hold the odd
-    part of a Nyquist mode, so Nyquist content is a ValueError.  The field's
-    stats are the record of `_halfspaces`.
+    the zero frequency extends as a constant.  du_normal = D exp(D xn) w,
+    the generator times the propagated vectors, mirrored by -J below.  A
+    grid cannot hold the odd part of a Nyquist mode, so Nyquist content is
+    a ValueError.  The field's stats are those of `build_halfspace`.
     """
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
@@ -309,30 +307,34 @@ def extend(orientation: str, ec: ElasticConstants,
     n, (sa, sb), t, J = _axes(orientation)
     (n1, n2), (ka, kb) = boundary_a.shape, boundary_a.kgrid()
     up = np.zeros((3,) + ka.shape, dtype=complex)
-    up[sa] = np.fft.rfft2(boundary_a.values)
-    up[sb] = np.fft.rfft2(boundary_b.values)
+    up[[sa, sb]] = np.fft.rfft2([boundary_a.values, boundary_b.values])
     nyquist = max(np.max(np.abs(up[:, n1 // 2])), np.max(np.abs(up[..., -1])))
     if nyquist > 1e-12 * np.max(np.abs(up)):
         raise ValueError("boundary data has content at the Nyquist frequency, "
                          "which the grid cannot extend")
     nz = (ka != 0.0) | (kb != 0.0)
-    sys, stats = _halfspaces(orientation, ec, ka[nz], kb[nz])
+    sys = build_halfspace(orientation, ec, ka[nz], kb[nz])
     up[n][nz] = normal_closure(sys, ec, up[sa][nz], up[sb][nz])
     x_normal = np.sort(np.asarray(x_normal, dtype=float))
     xa, back = np.unique(np.abs(x_normal), return_inverse=True)
-    out = np.repeat(up[:, None], xa.size, axis=1)
-    w = (t[:, None] * up[:, nz]).T[..., None]
-    out[:, :, nz] = (sys.propagate(xa, w)[..., 0] / t).transpose(2, 1, 0)
+    # [u, du_normal] half spectra; the zero frequency has no derivative
+    out = np.zeros((2, 3, xa.size) + ka.shape, dtype=complex)
+    out[0] = up[:, None]
+    w = sys.propagate(xa, (t[:, None] * up[:, nz]).T[..., None])[..., 0]
+    w = w.swapaxes(1, 2)                # (frequency, component, |xn|)
+    for o, v in zip(out, (w, sys.D_decay @ w)):
+        o[:, :, nz] = (v / t[:, None]).transpose(1, 2, 0)
     # the k2 = 0 column holds +-k1 pairs that were both computed
     odd = np.abs(out[..., 1:n1 // 2, 0] - np.conj(out[..., :n1 // 2:-1, 0]))
     odd = np.max(odd, initial=0.0) / max(np.max(np.abs(out)), 1e-300)
     if odd > 1e-8:
         raise ValueError(f"extension is not real (+-k mismatch {odd:.3e})")
-    u = np.fft.irfft2(out, s=(n1, n2), axes=(2, 3))[:, back]
+    u, du = np.fft.irfft2(out, s=(n1, n2), axes=(3, 4))[:, :, back]
     u[:, x_normal < 0.0] *= J[:, None, None, None]
+    du[:, x_normal < 0.0] *= -J[:, None, None, None]
     return Field3D(orientation=orientation, L1=boundary_a.L1,
-                   L2=boundary_a.L2, x_normal=x_normal, u=u, ec=ec,
-                   stats=stats)
+                   L2=boundary_a.L2, x_normal=x_normal, u=u, du_normal=du,
+                   ec=ec, stats=sys.stats)
 
 
 # 8th-order central finite-difference weights on a uniform grid
@@ -414,23 +416,20 @@ def stress_strain(field: Field3D):
     """Strain and stress grids plus the elastic energy density.
 
     Slip-axis derivatives are spectral, one `_slip_derivative` matrix per
-    slip axis; normal ones use numpy.gradient per half-space (one-sided at
-    the slip plane and the outer faces; a half-space with one normal sample
-    is a ValueError).  stress = C : strain.  Returns (strain, stress,
-    density), index layout [i, j, normal, slip1, slip2].
+    slip axis; the normal one is the field's exact du_normal, so the stress
+    at xn = 0 is the one-sided slip-plane traction from above (a field
+    without du_normal is a ValueError).  stress = C : strain.  Returns
+    (strain, stress, density), index layout [i, j, normal, slip1, slip2].
     """
+    if field.du_normal is None:
+        raise ValueError("the field has no normal derivative du_normal; "
+                         "`extend` records it")
     n, slip = _axes(field.orientation)[:2]
     grads = np.zeros((3, 3) + field.u.shape[1:])   # d u_k / d x_l at [k, l]
     for a, (s, L) in enumerate(zip(slip, (field.L1, field.L2))):
         D = _slip_derivative(field.u.shape[2 + a], L, 1)
         grads[:, s] = D @ field.u if a == 0 else field.u @ D.T
-    for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
-        if np.count_nonzero(half) == 1:
-            raise ValueError("a half-space with one normal sample has no "
-                             "normal derivative")
-        if half.any():
-            grads[:, n][:, half] = np.gradient(
-                field.u[:, half], field.x_normal[half], axis=1)
+    grads[:, n] = field.du_normal
     strain = 0.5 * (grads + np.transpose(grads, (1, 0, 2, 3, 4)))
     stress = np.tensordot(stiffness(field.ec), strain, 2)
     density = 0.5 * np.einsum("ij...,ij...->...", stress, strain)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pndislo import cli, symbols
+from pndislo import cli, regions, symbols
 from pndislo.moduli import from_isotropic, derive_perp
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -216,14 +217,96 @@ def test_extend_rejects_nyquist_mode(capsys):
     (["extend", "--orientation", "perp", "--x2-max", "inf"], "--x2-max"),
     (["symbol", "--case", "I", "--delta", "2", "--k1", "nan", "--k2", "1"],
      "finite"),
-    (["symbol", "--case", "II", "--k1", "1", "--k2", "inf"], "finite")])
+    (["symbol", "--case", "II", "--k1", "1", "--k2", "inf"], "finite"),
+    (["extend", "--orientation", "perp", "--n2", "0"], "--n2"),
+    (["extend", "--orientation", "perp", "--n2", "16"], "--n2"),
+    (["extend", "--orientation", "perp", "--L", "0"], "--L"),
+    (["extend", "--orientation", "perp", "--L", "inf"], "--L")])
 def test_degenerate_inputs_rejected_before_computing(capsys, argv, msg):
     # a zero amplitude has no log for the decay-rate fit, a zero x2-max no
-    # normal step, a non-finite k no symbol: each printed NaN or warned
+    # normal step, a non-finite k no symbol: each printed NaN or warned;
+    # --n2 0 divided by zero, --n2 16 left interior_residual one lower
+    # sample short after the whole extension, --L 0 or inf warned
     code, out, err = run(argv + ["--nu", "0.25"], capsys)
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""
     assert msg in json.loads(err)["error"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case, k1, k2, scale", [
+    ("II", "1e200", "1", 1e200), ("I", "1e-200", "1e-200", 1e-200)])
+def test_symbol_at_huge_and_tiny_frequency(capsys, case, k1, k2, scale):
+    # m and dtn are 1-homogeneous, so they equal scale times the library at
+    # k / scale, where squaring k neither overflows nor underflows
+    code, out, _ = run(["symbol", "--case", case, "--nu", "0.25", "--k1", k1,
+                        "--k2", k2], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    c = regions.case(case)
+    params = c.derive(from_isotropic(1.0, 0.25))
+    kk = (float(k1) / scale, float(k2) / scale)
+    assert rep["m"] == pytest.approx(scale * float(c.symbol(params, *kk)),
+                                     rel=1e-14)
+    got = np.array([[rep["dtn"]["a11"], rep["dtn"]["a12"]],
+                    [rep["dtn"]["a21"], rep["dtn"]["a22"]]])
+    assert got == pytest.approx(scale * c.dtn(params, *kk), rel=1e-14)
+    # det is 2-homogeneous: about 5e400 at |k| = 1e200, beyond the float
+    # range, so null; about 1e-400 at |k| = 1e-200, which rounds to 0
+    assert rep["dtn"]["det"] == (None if scale > 1.0 else 0.0)
+
+
+def test_symbol_readme_command_keeps_its_digits(capsys):
+    # the power-of-two rescaling is exact: the README command prints the
+    # library's values at k itself, digit for digit
+    argv = next(a for a in _readme_cli_commands() if a[0] == "symbol")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    c = regions.case("II")
+    params = c.derive(from_isotropic(1.0, 0.25))
+    (a11, a12), (a21, a22) = c.dtn(params, 1.0, 2.0).tolist()
+    assert out == json.dumps({
+        "case": "II", "k1": 1.0, "k2": 2.0,
+        "m": float(c.symbol(params, 1.0, 2.0)),
+        "dtn": {"a11": a11, "a12": a12, "a21": a21, "a22": a22,
+                "det": a11 * a22 - a12 * a21}}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["solve", "--case", "II", "--nu", "0.25", "--potential", "bogus"], None,
+     cli.EXIT_BAD_INPUT),
+    (["region", "--case", "I", "--nu-range", "0:0.4:1", "--delta-range",
+      "0.5:1.5:3"], None, cli.EXIT_BAD_INPUT),
+    (["extend", "--orientation", "perp", "--nu", "0.25", "--m1", "0",
+      "--m2", "0"], None, cli.EXIT_BAD_INPUT),
+    (["symbol", "--k1", "1", "--k2", "2"], "case = II\nnu 0.25\n",
+     cli.EXIT_BAD_INPUT),
+    ([], "case = II\n", cli.EXIT_BAD_INPUT),
+    (["solve", "--case", "II", "--nu", "0.25"], None,
+     cli.EXIT_NO_CONVERGENCE),
+], ids=["unknown-potential", "range-count-1", "mode-0-0", "config-no-equals",
+        "config-no-subcommand", "solver-error"])
+def test_cli_error_paths(tmp_path, monkeypatch, capsys, argv, config, code):
+    # solve_profile raises SolverError wherever it is reached: solve reports
+    # it with exit 2, and the bad inputs exit 3 before it
+    from pndislo import solver
+
+    def no_convergence(*args, **kwargs):
+        raise solver.SolverError("no convergence", [1.0, 0.5, 0.25, 0.2,
+                                                    0.19, 0.185])
+
+    monkeypatch.setattr(solver, "solve_profile", no_convergence)
+    if config is not None:
+        (tmp_path / "cfg").write_text(config)
+        argv = ["--config", str(tmp_path / "cfg")] + argv
+    got, out, err = run(argv, capsys)
+    assert got == code
+    if code == cli.EXIT_BAD_INPUT:
+        assert out == ""
+        assert "error" in json.loads(err)
+    else:
+        assert json.loads(out) == {"error": "no convergence",
+                                   "history": [0.5, 0.25, 0.2, 0.19, 0.185]}
 
 
 def test_extend_prints_stats(capsys):

@@ -181,7 +181,7 @@ def test_normal_closure_zeroes_plane_stress():
 
 def test_energy_density_nonnegative():
     # density = (1/2) eps : C : eps >= 0 by positive definiteness, for any
-    # (even FD-approximate) strain field
+    # strain field
     fld = _single_mode_field()
     _, stress, density = extension.stress_strain(fld)
     scale = float(np.max(np.abs(stress)))
@@ -195,18 +195,17 @@ def test_stress_strain_uniaxial_oracle():
     s = 1e-3
     n, nn = 16, 21
     xn = np.linspace(-1.0, 1.0, nn)
-    u = np.zeros((3, nn, n, n))
-    u[1] = s * xn[:, None, None]
-    fld = extension.Field3D("perp", 2 * np.pi, 2 * np.pi, xn, u, ec=ISO)
+    u, du = np.zeros((3, nn, n, n)), np.zeros((3, nn, n, n))
+    u[1], du[1] = s * xn[:, None, None], s
+    fld = extension.Field3D("perp", 2 * np.pi, 2 * np.pi, xn, u,
+                            du_normal=du, ec=ISO)
     strain, stress, density = extension.stress_strain(fld)
     c11, c13, c12 = ISO.c11, ISO.c13, ISO.c11 - 2 * ISO.c66
-    mid = slice(2, nn - 2)
-    assert strain[1, 1, mid] == pytest.approx(s * np.ones((nn - 4, n, n)),
-                                              rel=1e-10)
-    assert stress[1, 1, mid] == pytest.approx(c11 * s, rel=1e-10)
-    assert stress[0, 0, mid] == pytest.approx(c12 * s, rel=1e-10)
-    assert stress[2, 2, mid] == pytest.approx(c13 * s, rel=1e-10)
-    assert density[mid] == pytest.approx(0.5 * c11 * s * s, rel=1e-10)
+    assert strain[1, 1] == pytest.approx(s * np.ones((nn, n, n)), rel=1e-10)
+    assert stress[1, 1] == pytest.approx(c11 * s, rel=1e-10)
+    assert stress[0, 0] == pytest.approx(c12 * s, rel=1e-10)
+    assert stress[2, 2] == pytest.approx(c13 * s, rel=1e-10)
+    assert density == pytest.approx(0.5 * c11 * s * s, rel=1e-10)
 
 
 @pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
@@ -235,26 +234,29 @@ def test_stress_strain_slip_derivatives_are_spectral(orientation, ec):
         assert np.max(np.abs(strain[i, j] - e)) <= 1e-12 * scale
 
 
-def test_stress_strain_rejects_single_normal_sample():
-    # one sample below the slip plane has no normal derivative; u2 = s x2
-    # has strain22 = s there, not 0
-    s, xn = 1e-3, np.array([-0.1, 0.0, 0.1, 0.2])
-    u = np.zeros((3, xn.size, 8, 8))
-    u[1] = s * xn[:, None, None]
-    fld = extension.Field3D("perp", 1.0, 1.0, xn, u, ec=ISO)
-    with pytest.raises(ValueError, match="one normal sample"):
-        extension.stress_strain(fld)
-    # no sample below the slip plane is allowed
-    fld = extension.Field3D("perp", 1.0, 1.0, xn[1:], u[:, 1:], ec=ISO)
+def test_stress_strain_without_lower_samples():
+    # no sample below the slip plane: u2 = s x2 has strain22 = s
+    s, xn = 1e-3, np.array([0.0, 0.1, 0.2])
+    u, du = np.zeros((3, xn.size, 8, 8)), np.zeros((3, xn.size, 8, 8))
+    u[1], du[1] = s * xn[:, None, None], s
+    fld = extension.Field3D("perp", 1.0, 1.0, xn, u, du_normal=du, ec=ISO)
     strain, _, _ = extension.stress_strain(fld)
     assert strain[1, 1] == pytest.approx(s * np.ones((3, 8, 8)), rel=1e-12)
+
+
+def test_stress_strain_rejects_field_without_normal_derivative():
+    xn = np.array([-0.1, 0.0, 0.1])
+    fld = extension.Field3D("perp", 1.0, 1.0, xn, np.zeros((3, 3, 8, 8)),
+                            ec=ISO)
+    with pytest.raises(ValueError, match="du_normal"):
+        extension.stress_strain(fld)
 
 
 def test_stress_strain_rigid_translation_is_stress_free():
     u = np.ones((3, 11, 16, 16)) * np.array([0.3, -1.0, 2.0])[:, None,
                                                               None, None]
-    fld = extension.Field3D("parallel", 1.0, 1.0,
-                            np.linspace(-0.5, 0.5, 11), u, ec=ISO)
+    fld = extension.Field3D("parallel", 1.0, 1.0, np.linspace(-0.5, 0.5, 11),
+                            u, du_normal=np.zeros_like(u), ec=ISO)
     _, stress, density = extension.stress_strain(fld)
     assert np.max(np.abs(stress)) <= 1e-12
     assert np.max(np.abs(density)) <= 1e-15
@@ -503,7 +505,7 @@ def test_generator_solves_lower_companion_block(orientation, ec, kk):
     # (w, D w) solves w'' = A21 w + A22 w' for every w: A21 + A22 D = D^2
     phi = np.linspace(0.0, np.pi, 13)
     k1, k2 = kk * np.cos(phi), kk * np.sin(phi)
-    D = extension._halfspaces(orientation, ec, k1, k2)[0].D_decay
+    D = extension.build_halfspace(orientation, ec, k1, k2).D_decay
     A = extension._companion(orientation, ec, k1, k2)
     res = A[..., 3:, :3] + A[..., 3:, 3:] @ D - D @ D
     assert np.max(np.abs(res)) <= 1e-10 * kk ** 2
@@ -542,6 +544,50 @@ def test_closed_form_matches_expm(orientation, ec, k1, k2):
                          (sys.bminus, D_grow, -x)):
             ref = scipy.linalg.expm(D * xn) * (t / t[:, None])
             assert np.max(np.abs(B(xn) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# perp nu = 0.25, delta = 1.5 and a parallel material with C11 != C33
+TRACTION_MATERIALS = [
+    ("perp", perp_to_constants(perp_from_parameters(1.0, 0.25, 1.5))),
+    ("parallel", ElasticConstants(3.2, 1.1, 2.8, 1.0, 1.1))]
+
+
+@pytest.mark.parametrize("h", [0.025, 0.1, 0.4])
+@pytest.mark.parametrize("orientation,ec", TRACTION_MATERIALS)
+def test_stress_strain_slip_plane_traction_is_exact(orientation, ec, h):
+    # sigma_sn(0+) = -1/2 A(k) u^(k) with A the 3D traction map, at every
+    # normal spacing: du_normal is exact, not a difference quotient
+    rng = np.random.default_rng(1)
+    L, n = 2 * np.pi, 16
+    ua, ub = _smooth_field(rng, n, L), _smooth_field(rng, n, L)
+    xn = h * np.arange(-20, 21)
+    stress = extension.stress_strain(
+        extension.extend(orientation, ec, ua, ub, xn))[1]
+    nax, slip = extension._axes(orientation)[:2]
+    ka, kb = ua.kgrid()
+    nz = (ka != 0.0) | (kb != 0.0)
+    u_hat = np.stack([np.fft.rfft2(ua.values), np.fft.rfft2(ub.values)], -1)
+    t_hat = np.zeros(ka.shape + (2,), dtype=complex)
+    t_hat[nz] = -0.5 * np.einsum("...st,...t->...s", extension.traction_map(
+        orientation, ec, ka[nz], kb[nz]), u_hat[nz])
+    expect = np.fft.irfft2(np.moveaxis(t_hat, -1, 0), s=(n, n))
+    got = stress[list(slip), nax, np.searchsorted(xn, 0.0)]
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("orientation,ec", TRACTION_MATERIALS)
+def test_du_normal_matches_finite_differences(orientation, ec):
+    # 8th-order central differences at spacing 0.05 agree to ~2e-9, in each
+    # half-space on its own (the derivative jumps at the slip plane)
+    rng = np.random.default_rng(4)
+    L, h = 2 * np.pi, 0.05
+    ua, ub = _smooth_field(rng, 16, L), _smooth_field(rng, 16, L)
+    fld = extension.extend(orientation, ec, ua, ub, h * np.arange(-40, 41))
+    scale = np.max(np.abs(fld.du_normal))
+    for half in (fld.x_normal >= 0.0, fld.x_normal < 0.0):
+        fd = extension._fd_normal(np.moveaxis(fld.u[:, half], 1, 0), h, 1)
+        exact = np.moveaxis(fld.du_normal[:, half], 1, 0)[4:-4]
+        assert np.max(np.abs(fd - exact)) <= 1e-7 * scale
 
 
 @pytest.mark.parametrize("orientation,ec", [("perp", PERP2),
