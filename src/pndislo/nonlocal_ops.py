@@ -39,8 +39,10 @@ import numpy as np
 N_THETA = 128
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 8 and (n & (n - 1)) == 0
+def _check_counts(n1: int, n2: int):
+    if not all(n >= 8 and (n & (n - 1)) == 0 for n in (n1, n2)):
+        raise ValueError(f"sample counts ({n1}, {n2}) must be powers of "
+                         "two >= 8")
 
 
 def cell_axes(L1: float, L2: float, n1: int, n2: int):
@@ -78,10 +80,7 @@ class GridField2D:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d array")
-        n1, n2 = self.values.shape
-        if not (_is_pow2(n1) and _is_pow2(n2)):
-            raise ValueError(f"sample counts ({n1}, {n2}) must be powers of "
-                             "two >= 8")
+        _check_counts(*self.values.shape)
         if not (self.L1 > 0.0 and self.L2 > 0.0):
             raise ValueError("cell lengths must be positive")
         if not np.all(np.isfinite(self.values)):
@@ -101,6 +100,7 @@ class GridField2D:
 
     @classmethod
     def from_function(cls, L1, L2, n1, n2, f) -> "GridField2D":
+        _check_counts(n1, n2)
         x1, x2 = cell_axes(L1, L2, n1, n2)
         vals = np.broadcast_to(f(x1[:, None], x2[None, :]), (n1, n2))
         return cls(L1, L2, np.array(vals, dtype=float))

@@ -112,7 +112,9 @@ class Potential:
         [-1, 1].  W'(+-1) = 0 is checked on the data (the parabola through
         the 3 nodes nearest a well is convex, its minimum within half their
         span of the well); the spline is clamped, W' = 0, at a table end
-        that is a well, so coarse tables of a valid W pass."""
+        that is a well, so coarse tables of a valid W pass.  The table need
+        not be even, but `solve_profile` converges only for an even W: a
+        W(-u) != W(u) ends in SolverError (see there)."""
         from scipy.interpolate import CubicSpline
         u = np.asarray(u_nodes, dtype=float)
         w = np.asarray(w_values, dtype=float)
@@ -146,13 +148,13 @@ class ProfileSolution:
     potential: Potential
     lambda_min: Optional[float] = None
     params: object = dfield(default=None, repr=False)
-    #: run record: flow_steps, newton_steps, centering_passes,
-    #: newton_inner_iterations (MINRES iterations per Newton step),
-    #: newton_damping (accepted length t per Newton step, 0 if none lowered
-    #: the residual), far_field_gap = max(|psi(-X) + 1|, |psi(X) - 1|)
-    #: over the end samples and stage_s (seconds in the flow and Newton
-    #: step rules and in centering) from solve_profile; lobpcg_iterations,
-    #: lobpcg_residual, lobpcg_converged and lobpcg_s from check_stability
+    #: run record: flow_steps, newton_steps, newton_inner_iterations (MINRES
+    #: iterations per Newton step), newton_damping (accepted length t per
+    #: Newton step, 0 if none lowered the residual), far_field_gap =
+    #: max(|psi(-X) + 1|, |psi(X) - 1|) over the end samples and stage_s
+    #: (seconds in the flow run and in the Newton run) from solve_profile;
+    #: lobpcg_iterations, lobpcg_residual, lobpcg_converged and lobpcg_s
+    #: from check_stability
     stats: dict = dfield(default_factory=dict, repr=False)
 
     def psi_prime(self) -> np.ndarray:
@@ -288,16 +290,21 @@ def _lobpcg(A, T, X, tol, maxiter):
 def solve_profile(case: str, params, potential: Optional[Potential] = None,
                   theta: float = 0.0, X: float = 200.0, N: int = 4096,
                   method: str = "newton", tol_solve: float = TOL_SOLVE,
-                  max_iter: int = 4000,
-                  v0: Optional[np.ndarray] = None) -> ProfileSolution:
+                  max_iter: int = 4000) -> ProfileSolution:
     """Solve the 1D profile equation in direction theta.
 
     If `potential` is omitted, the cosine potential with amplitude m(e) is
     used (its exact solution is the arctan background).  `method` is
-    "gradient-flow" (semi-implicit flow all the way) or "newton" (flow to a
-    rough residual, then damped Newton).  Raises ValueError unless X > 0 is
-    finite and N >= 4, and SolverError on non-convergence with the residual
-    history attached.
+    "gradient-flow" (one flow run of at most max_iter steps to tol_solve) or
+    "newton" (one flow run to NEWTON_SWITCH, then one damped Newton run of
+    at most 40 steps).  The translation is fixed by symmetry alone: for an
+    even W, the grid, the odd background and the start v = 0 make the
+    solution odd, centred at x = 0.  A W that is not even breaks that
+    symmetry; its solves have stalled above tol_solve, at floors that fall
+    as X grows (likely the periodic truncation; non-existence is not
+    shown), and they end in SolverError.  Raises ValueError unless X > 0 is finite and
+    N >= 4, and SolverError with the residual history attached if the last
+    run misses tol_solve.
     """
     if not -0.5 * np.pi < theta < 0.5 * np.pi:
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
@@ -316,7 +323,7 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
 
     h = 2.0 * X / N
     # cell-centered samples: the point set is symmetric under x -> -x, so
-    # odd potentials admit exactly centered discrete solutions
+    # with W' odd every step keeps v odd and the solution exactly centred
     x = -X + h * (np.arange(N) + 0.5)
     phi, half_lap_phi = _background(x)
     absk = _kgrid(N, X)
@@ -324,11 +331,11 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
     d2w_max = float(np.max(np.abs(pot.d2w(np.linspace(-1, 1, 257)))))
     dt = 0.5 * m_e / d2w_max
 
-    v = np.zeros(N) if v0 is None else np.array(v0, dtype=float)
+    v = np.zeros(N)
     history = []
-    stats = {"flow_steps": 0, "newton_steps": 0, "centering_passes": 0,
+    stats = {"flow_steps": 0, "newton_steps": 0,
              "newton_inner_iterations": [], "newton_damping": [],
-             "stage_s": dict.fromkeys(("flow", "newton", "centering"), 0.0)}
+             "stage_s": dict.fromkeys(("flow", "newton"), 0.0)}
 
     def timed(stage, fn, *args):
         t0 = time.perf_counter()
@@ -385,39 +392,14 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
         stats["newton_damping"].append(t)
         return v + t * d if t else None
 
-    def center():
-        # shift so that the linearly-interpolated zero crossing moves to 0;
-        # iterated because the interpolated crossing is first-order accurate.
-        # Centering also keeps Newton off the flat translation direction.
-        nonlocal v
-        stats["centering_passes"] += 1
-        for _ in range(10):
-            x0 = _zero_crossing(x, phi + v)
-            if abs(x0) < 1e-13:
-                break
-            v = _multiply(np.exp(1j * absk * x0), v) \
-                + ((2.0 / np.pi) * np.arctan(x + x0) - phi)
-
-    def failure():
-        return SolverError(f"no convergence to {tol_solve:g} (last residual "
-                           f"{history[-1]:.3e})", history)
-
-    stage, step, budget = (("newton", newton_step, 40) if method == "newton"
-                           else ("flow", flow_step, max_iter))
-    timed("flow", iterate, flow_step,
-          NEWTON_SWITCH if method == "newton" else tol_solve, max_iter)
-    for _ in range(4):
-        timed("centering", center)
-        start = v
-        if timed(stage, iterate, step, tol_solve, budget):
-            if abs(_zero_crossing(x, phi + v)) < 1e-9:
-                break
-        elif v is start:
-            # no step accepted: v is unchanged, so the next pass would
-            # repeat this one
-            raise failure()
-    else:
-        raise failure()
+    converged = timed("flow", iterate, flow_step,
+                      NEWTON_SWITCH if method == "newton" else tol_solve,
+                      max_iter)
+    if method == "newton":
+        converged = timed("newton", iterate, newton_step, tol_solve, 40)
+    if not converged:
+        raise SolverError(f"no convergence to {tol_solve:g} (last residual "
+                          f"{history[-1]:.3e})", history)
 
     psi = phi + v
     stats["far_field_gap"] = float(max(abs(psi[0] + 1.0), abs(psi[-1] - 1.0)))
@@ -426,18 +408,6 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
                            m_e=m_e, case=case, residual=history[-1],
                            in_region=c.member(params),
                            potential=pot, params=params, stats=stats)
-
-
-def _zero_crossing(x, psi):
-    """Zero of psi nearest the box center, by linear interpolation."""
-    s = np.sign(psi)
-    idx = np.nonzero((s[:-1] <= 0) & (s[1:] > 0))[0]
-    if idx.size == 0:
-        raise SolverError("profile has no ascending zero crossing")
-    i = idx[np.argmin(np.abs(x[idx]))]
-    x0, x1 = x[i], x[i + 1]
-    f0, f1 = psi[i], psi[i + 1]
-    return x0 - f0 * (x1 - x0) / (f1 - f0) if f1 != f0 else x0
 
 
 def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:

@@ -101,11 +101,11 @@ def test_solve_quick(tmp_path, capsys):
     assert rep["in_region"] is True
     assert rep["stats"]["lobpcg_converged"] is True
     assert set(rep["stats"]) == {"flow_steps", "newton_steps",
-                                 "centering_passes", "newton_inner_iterations",
+                                 "newton_inner_iterations",
                                  "newton_damping", "far_field_gap",
                                  "lobpcg_iterations", "lobpcg_residual",
                                  "lobpcg_converged", "lobpcg_s", "stage_s"}
-    assert set(rep["stats"]["stage_s"]) == {"flow", "newton", "centering"}
+    assert set(rep["stats"]["stage_s"]) == {"flow", "newton"}
     assert all(t >= 0.0 for t in rep["stats"]["stage_s"].values())
     assert rep["stats"]["stage_s"]["newton"] > 0.0
     assert rep["stats"]["lobpcg_s"] > 0.0
@@ -221,12 +221,19 @@ def test_extend_rejects_nyquist_mode(capsys):
     (["extend", "--orientation", "perp", "--n2", "0"], "--n2"),
     (["extend", "--orientation", "perp", "--n2", "16"], "--n2"),
     (["extend", "--orientation", "perp", "--L", "0"], "--L"),
-    (["extend", "--orientation", "perp", "--L", "inf"], "--L")])
+    (["extend", "--orientation", "perp", "--L", "inf"], "--L"),
+    *(pytest.param(["extend", "--orientation", "perp", "--n", n],
+                   f"sample counts ({n}, {n}) must be powers of two >= 8",
+                   id=f"n-{n}") for n in ("0", "-4", "2", "12")),
+    pytest.param(["symbol", "--case", "II", "--k1", "1.7e308", "--k2", "0"],
+                 "k is too large: the symbol overflows", id="k-overflow")])
 def test_degenerate_inputs_rejected_before_computing(capsys, argv, msg):
     # a zero amplitude has no log for the decay-rate fit, a zero x2-max no
     # normal step, a non-finite k no symbol: each printed NaN or warned;
     # --n2 0 divided by zero, --n2 16 left interior_residual one lower
-    # sample short after the whole extension, --L 0 or inf warned
+    # sample short after the whole extension, --L 0 or inf warned; --n 0
+    # divided by zero and --n -4 failed in numpy before the count check;
+    # a k near the float maximum overflows even after rescaling
     code, out, err = run(argv + ["--nu", "0.25"], capsys)
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""
@@ -359,6 +366,12 @@ def test_config_preload_and_flag_precedence(tmp_path, capsys):
     code, out, _ = run(["--config", str(cfg), "symbol"], capsys)
     assert code == 0
     base = json.loads(out)
+    # comment and blank lines are skipped; the other keys still preload
+    cfg.write_text("# material\ncase = II\n\nnu = 0.25  # isotropic\n"
+                   "k1 = 1\nk2 = 2\n")
+    code, out, _ = run(["--config", str(cfg), "symbol"], capsys)
+    assert code == 0
+    assert json.loads(out) == base
     # explicit flags override config values
     code, out, _ = run(["--config", str(cfg), "symbol", "--k1", "3"],
                        capsys)

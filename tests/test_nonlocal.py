@@ -34,6 +34,17 @@ def test_grid_validation():
         GridField2D(-1.0, L, np.zeros((16, 16)))
     with pytest.raises(ValueError):
         GridField2D(L, L, np.full((16, 16), np.nan))
+    with pytest.raises(ValueError, match="values must be a 2-d array"):
+        GridField2D(L, L, np.zeros(16))
+
+    # from_function checks the counts before cell_axes divides by them and
+    # before f is sampled
+    def f(x, y):
+        raise AssertionError("sampled")
+
+    with pytest.raises(ValueError, match=r"sample counts \(0, 8\) must be "
+                       "powers of two >= 8"):
+        GridField2D.from_function(1, 1, 0, 8, f)
 
 
 def test_axes_and_kgrid_layout():

@@ -24,6 +24,12 @@ def test_potential_well_conditions_enforced():
         # negative inside (-1, 1)
         solver.Potential("bad", 1.0, lambda u: u * u - 1.0,
                          lambda u: 2 * u, lambda u: 2.0 + 0 * u)
+    with pytest.raises(ValueError, match=r"W must be positive on \(-1, 1\)"):
+        # valid wells, W''(+-1) = 6, but negative for |u| < 1/2
+        solver.Potential("bad", 1.0,
+                         lambda u: (1 - u * u) ** 2 * (u * u - 0.25),
+                         lambda u: u * (1 - u * u) * (3 - 6 * u * u),
+                         lambda u: 3 - 27 * u * u + 30 * u ** 4)
     with pytest.raises(ValueError):
         # W''(1) <= 0
         solver.Potential("bad", 1.0, lambda u: (1 - u * u) ** 3,
@@ -144,14 +150,6 @@ def test_far_field_gap_on_cosine_oracle():
     assert sol.stats["far_field_gap"] == pytest.approx(gap, abs=1e-8)
 
 
-def test_solver_recovers_from_shifted_start():
-    x = -100.0 + (np.arange(2048) + 0.5) * (200.0 / 2048)
-    v0 = (2 / np.pi) * (np.arctan(x - 7.3) - np.arctan(x))
-    sol = solver.solve_profile("II", DP, X=100.0, N=2048, v0=v0)
-    assert sol.residual <= 1e-10
-    assert np.max(np.abs(sol.psi - (2 / np.pi) * np.arctan(sol.x))) <= 1e-8
-
-
 def test_quartic_profile_centered_and_odd():
     pot = solver.Potential.quartic(1.0)
     sol = solver.solve_profile("II", DP, potential=pot, X=100.0, N=2048)
@@ -162,6 +160,42 @@ def test_quartic_profile_centered_and_odd():
     # strictly monotone in the bulk (boundary wrap layer excluded)
     bulk = np.abs(sol.x) <= 0.9 * sol.X
     assert np.all(np.diff(sol.psi[bulk.nonzero()[0]]) > 0.0)
+
+
+@pytest.mark.parametrize("method", ["newton", "gradient-flow"])
+@pytest.mark.parametrize("kind", ["cosine", "quartic"])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("case", ["I", "II", "III"])
+def test_even_w_profile_centred_at_zero(case, theta, kind, method):
+    # nothing re-centres the solve: the symmetric grid, the odd background
+    # and v = 0 keep the profile of an even W centred
+    params = DPAR if case == "III" else DP2
+    m_e = float(regions.case(case).symbol(params, np.cos(theta),
+                                          np.sin(theta)))
+    pot = getattr(solver.Potential, kind)(1.5 * m_e)
+    sol = solver.solve_profile(case, params, potential=pot, theta=theta,
+                               X=100.0, N=2048, method=method)
+    i = sol.N // 2 - 1              # x[i] < 0 < x[i + 1]
+    (x0, x1), (f0, f1) = sol.x[i:i + 2], sol.psi[i:i + 2]
+    assert f0 < 0.0 < f1
+    assert abs(x0 - f0 * (x1 - x0) / (f1 - f0)) <= 1e-11
+
+
+@pytest.mark.parametrize("method", ["newton", "gradient-flow"])
+def test_non_even_potential_not_converged(method):
+    # the solve has no translation pin but the x -> -x symmetry: a W that is
+    # not even stalls above tol_solve (4e-6 to 4e-5 here, lower at larger X).
+    # W = (s/4)(1 - u^2)^2 (1 + a u) with s = 2, a = 0.3: W''(+-1) = 2s(1 +- a)
+    s, a = 2.0, 0.3
+    pot = solver.Potential(
+        "tilted", s, lambda u: 0.25 * s * (1 - u * u) ** 2 * (1 + a * u),
+        lambda u: s * (1 - u * u) * (0.25 * a * (1 - u * u)
+                                     - u * (1 + a * u)),
+        lambda u: s * ((3 * u * u - 1) * (1 + a * u)
+                       - 2 * a * u * (1 - u * u)))
+    with pytest.raises(solver.SolverError, match="no convergence"):
+        solver.solve_profile("II", perp_from_parameters(1.0, 0.25, 1.5),
+                             potential=pot, X=100.0, N=2048, method=method)
 
 
 def test_gradient_flow_agrees_with_newton():
@@ -195,9 +229,8 @@ def test_stiff_gradient_flow_agrees_with_newton():
 
 
 def test_flow_step_evaluates_dw_once():
-    # W' enters only through the residual: once per flow step and once per
-    # converged flow pass (one more than the centering passes); the final
-    # residual is the last one of the history
+    # W' enters only through the residual: once per flow step and once for
+    # the residual that ends the single flow run, the last of the history
     base = solver.Potential.quartic(1.0)
     calls = 0
 
@@ -212,7 +245,7 @@ def test_flow_step_evaluates_dw_once():
                                method="gradient-flow")
     st = sol.stats
     assert st["flow_steps"] > 10
-    assert calls == st["flow_steps"] + st["centering_passes"] + 1
+    assert calls == st["flow_steps"] + 1
 
 
 def _counted_newton(monkeypatch, scale=1.0, info=None, first_only=False):
@@ -251,13 +284,13 @@ def _counted_newton(monkeypatch, scale=1.0, info=None, first_only=False):
 
 def test_newton_call_counts(monkeypatch):
     # W' once per recorded residual (one per flow step, one per line-search
-    # trial, one per converged flow or Newton call); W'' once for the flow
-    # step size and once per Newton step.  A typical step takes t = 1.
+    # trial, one that ends the flow run and one that ends the Newton run);
+    # W'' once for the flow step size and once per Newton step.  A typical
+    # step takes t = 1.
     sol, n = _counted_newton(monkeypatch)
     st = sol.stats
     assert st["newton_steps"] > 0 and n["minres"] == st["newton_steps"]
-    assert n["dw"] == (st["flow_steps"] + 2 * st["newton_steps"]
-                       + st["centering_passes"] + 1)
+    assert n["dw"] == st["flow_steps"] + 2 * st["newton_steps"] + 2
     assert n["d2w"] == st["newton_steps"] + 1
 
 
@@ -268,8 +301,7 @@ def test_newton_damping_halves_an_overlong_step(monkeypatch):
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.psi - ref.psi)) <= 1e-10
     # t = 1 and t = 1/2 of the fourfold step overshoot before t = 1/4
-    assert n["dw"] >= (st["flow_steps"] + 3 * st["newton_steps"]
-                       + st["centering_passes"] + 1)
+    assert n["dw"] >= st["flow_steps"] + 3 * st["newton_steps"] + 2
 
 
 def test_newton_best_length_fallback(monkeypatch):
@@ -281,13 +313,12 @@ def test_newton_best_length_fallback(monkeypatch):
     assert sol.residual <= 1e-10
     assert np.max(np.abs(sol.psi - ref.psi)) <= 1e-10
     assert st["newton_steps"] == ref.stats["newton_steps"] + 1
-    assert n["dw"] == (st["flow_steps"] + 2 * st["newton_steps"]
-                       + st["centering_passes"] + 1 + 6)
+    assert n["dw"] == st["flow_steps"] + 2 * st["newton_steps"] + 2 + 6
 
 
 def test_newton_fails_when_no_length_reduces(monkeypatch):
-    # an ascent direction: the first pass tries all 7 lengths and gives up;
-    # v is unchanged, so a second pass would repeat it and none is made
+    # an ascent direction: the Newton run tries all 7 lengths and gives up,
+    # and the solve with it
     exc, n = _counted_newton(monkeypatch, scale=-1.0)
     assert isinstance(exc, solver.SolverError)
     assert n["minres"] == 1
@@ -295,7 +326,7 @@ def test_newton_fails_when_no_length_reduces(monkeypatch):
 
 
 def test_newton_fails_on_minres_breakdown(monkeypatch):
-    # info != 0 ends the first pass before any step or trial, and the
+    # info != 0 ends the Newton run before any step or trial, and the
     # solve with it
     ref, _ = _counted_newton(monkeypatch)
     exc, n = _counted_newton(monkeypatch, info=1)
@@ -356,17 +387,22 @@ def test_minres_matches_dense_solve():
     x, info, its = solver._minres(lambda d: J @ d, b, lambda r: Minv @ r,
                                   rtol=1e-13, maxiter=3)
     assert info != 0 and its == 3
+    # b = 0: the zero solution, before any Lanczos step
+    x, info, its = solver._minres(lambda d: J @ d, np.zeros(n),
+                                  lambda r: Minv @ r, rtol=1e-13, maxiter=n)
+    assert np.array_equal(x, np.zeros(n)) and info == 0 and its == 0
 
 
 def test_newton_budget_exhausted(monkeypatch):
-    # a fiftieth of each step: accepted at t = 1, but 40 steps per pass do not
-    # reach tol_solve; each pass records 40 residuals and the final one
+    # a fiftieth of each step: accepted at t = 1, but the 40 steps of the
+    # Newton run do not reach tol_solve; it records 40 residuals and the
+    # final one
     ref, _ = _counted_newton(monkeypatch)
     exc, n = _counted_newton(monkeypatch, scale=0.02)
     assert isinstance(exc, solver.SolverError)
-    assert n["minres"] == 4 * 40
-    assert len(exc.history) == ref.stats["flow_steps"] + 1 + 4 * 41
-    assert n["dw"] == len(exc.history) + 4 * 40
+    assert n["minres"] == 40
+    assert len(exc.history) == ref.stats["flow_steps"] + 1 + 41
+    assert n["dw"] == len(exc.history) + 40
     assert exc.history[-1] < exc.history[-41]
 
 
