@@ -184,7 +184,7 @@ def _cmd_kernel(args):
     params = c.derive(_material_constants(args))
     kf = c.kernel(params)
     th, kv = kernels.circle_profile(kf, n_theta=args.n_theta)
-    tmin, kmin = kernels.circle_min(kf, params)
+    tmin, kmin = kernels.circle_min(kf)
     if args.out:
         _write_csv(args.out, ["theta", "K"], zip(th, kv))
     _emit({"case": args.case, "min": kmin, "argmin_theta": tmin,
@@ -331,7 +331,7 @@ def _cmd_verify(args):
         if not regions.in_ellipticity_strip(nu, delta):
             continue
         dpx = perp_from_parameters(1.0, nu, delta)
-        _, kmin = kernels.circle_min(case1.kernel(dpx), dpx)
+        _, kmin = kernels.circle_min(case1.kernel(dpx))
         member = case1.member(dpx)
         if abs(kmin) > 1e-6 * (1 + abs(kmin)) and member != (kmin > 0):
             bad += 1

@@ -216,36 +216,42 @@ def build_halfspace(orientation: str, ec: ElasticConstants,
         "frequencies": int(kk.size), "spectrum_mismatch": worst})
 
 
+def _traction(sys: HalfSpaceSystem, ec: ElasticConstants) -> np.ndarray:
+    """sigma_in(0+) = T_ik u_k at the frequencies of `sys`: the one-sided
+    traction operator T_ik = C_inmn (dbplus0)_mk + i C_inkt k_t, t over the
+    slip axes; shape k.shape + (3, 3)."""
+    n, slip = _axes(sys.orientation)[:2]
+    C, D = stiffness(ec)[:, n], sys.dbplus0()      # C_inkl
+    # row by row: three vector-stack products beat one batched 3x3 matmul
+    return np.stack([c @ D for c in C[..., n]], -2) + 1j * np.einsum(
+        "ikt,...t->...ik", C[..., slip], np.stack(sys.k, -1))
+
+
 def normal_closure(sys: HalfSpaceSystem, ec: ElasticConstants, u_a, u_b):
     """Normal displacement on Gamma from the slip components (u1, u3)
     ("perp") or (u1, u2) ("parallel"), at the frequencies of `sys`.
 
     Continuity of the normal stress across the slip plane, combined with the
     mirror symmetry of the two half-space fields, forces the one-sided normal
-    stress to vanish: sigma_nn(0+) = C_nnkl d_l u_k = 0, with d_n = dbplus0()
-    and d_s = i k_s, a linear relation for u_n^+.
+    stress to vanish: sigma_nn(0+) = T_nk u_k = 0 (`_traction`), a linear
+    relation for u_n^+.
     """
     n, (sa, sb) = _axes(sys.orientation)[:2]
-    C = stiffness(ec)[n, n]
-    # sigma_nn = row . u
-    row = C[:, n] @ sys.dbplus0() + 1j * np.stack(sys.k, -1) @ C[:, [sa, sb]].T
+    row = _traction(sys, ec)[..., n, :]
     return -(row[..., sa] * u_a + row[..., sb] * u_b) / row[..., n]
 
 
 def traction_map(orientation: str, ec: ElasticConstants, k1, k2):
     """The 3D slip-plane traction map -2 sigma_sn(0+) of unit slip data at
-    nonzero frequencies k1, k2: shape k1.shape + (2, 2), columns the slip
-    axes.  u_n from `normal_closure`, d_n = dbplus0() and d_s = i k_s."""
-    sys = build_halfspace(orientation, ec, k1, k2)
+    nonzero frequencies k1, k2: shape k1.shape + (2, 2), on the slip axes.
+    With u_n from `normal_closure` it is -2 (T_ss - T_sn T_ns / T_nn), the
+    Schur complement of `_traction` on the slip block, as each case's symbol
+    is that of its DtN matrix."""
+    T = _traction(build_halfspace(orientation, ec, k1, k2), ec)
     n, slip = _axes(orientation)[:2]
-    U = np.zeros(np.shape(k1) + (3, 2), dtype=complex)
-    U[..., slip, [0, 1]] = 1.0
-    U[..., n, :] = np.stack([normal_closure(sys, ec, *u)
-                             for u in ((1.0, 0.0), (0.0, 1.0))], -1)
-    C = stiffness(ec)[slip, n]                      # C_snkl
-    grad = C[..., n] @ sys.dbplus0() + 1j * np.einsum(
-        "skt,...t->...sk", C[..., slip], np.stack([k1, k2], -1))
-    return -2.0 * grad @ U
+    Tsn, Tns = T[..., slip, n], T[..., n, slip]
+    return -2.0 * (T[..., slip, :][..., slip] - Tsn[..., :, None]
+                   * Tns[..., None, :] / T[..., n, n][..., None, None])
 
 
 @dataclass

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -360,25 +360,6 @@ def circle_profile(kf: KernelForm, n_theta: int = 512):
     return th, on_circle(kf, np.cos(th), np.sin(th))
 
 
-def _zeta_candidates(kf: KernelForm) -> list:
-    """Closed-form interior critical angles arccos(sqrt(u)), u = cos^2 theta.
-
-    On the unit circle the case-II, case-III and iso kernels are N(u)/P(u)^3
-    with P = a z1^2 + b z3^2, where (a, b) = (q, p), (eta1, eta2) and (1, q).
-    For each of their numerators K'(u) = 0 is the quadratic
-    (b - a)^2 u^2 + 2 (b - a)(b + 2a) u - b (3b - 4a) = 0, with roots
-    u = (-b - 2a +- 2 sqrt(a^2 + b^2)) / (b - a).  Case I, whose P is a
-    quartic, has none.
-    """
-    P = kf.terms[0].den_coeffs
-    if len(P) != 2 or P[0] == P[1]:
-        return []
-    a, b = P
-    roots = ((-b - 2.0 * a + s * 2.0 * np.hypot(a, b)) / (b - a)
-             for s in (1.0, -1.0))
-    return [float(np.arccos(np.sqrt(u))) for u in roots if 0.0 <= u <= 1.0]
-
-
 def _p_zeros(kf: KernelForm) -> tuple:
     """Angles in (0, pi) where P of a case-I kernel vanishes on the circle.
 
@@ -396,37 +377,54 @@ def _p_zeros(kf: KernelForm) -> tuple:
     return th, math.pi - th
 
 
+@lru_cache(maxsize=None)
+def _u_basis(n: int) -> np.ndarray:
+    """Rows u^(n-1-i) (1-u)^i, i < n, descending in u: `_even_poly`'s
+    coefficients times this are its polynomial in u = x1^2 = 1 - x3^2."""
+    rows = np.zeros((n, n))
+    for i in range(n):
+        rows[i, :i + 1] = (-1) ** i * np.poly(np.ones(i))
+    rows.setflags(write=False)
+    return rows
+
+
 def circle_min(kf: KernelForm, params=None):
     """(theta_min, k_min) of theta -> K(cos theta, sin theta) on [0, pi).
 
-    K depends on theta only through cos^2 theta, so 0 and pi/2 are exact
-    critical angles; with `params`, `_zeta_candidates` adds the interior
-    ones in closed form, and K is taken there as it is.  Only when a 4096-angle
-    grid goes lower does a zoom of 65 angles a pass close in on its best one.
-    The candidates, the grid and the zoom skip the angles `on_circle` blanks.
+    On the circle K is a function of u = cos^2 theta: a term is
+    s N R^-rp / P^3 with R = u + w (1 - u), N and P by `_u_basis`, and P^4
+    dK/du sums s A R^(-rp-1), A = N' R P - rp N R' P - 3 N R P'.  The terms
+    with w = 1 add up to one polynomial G; case I's K1, the one term with
+    R != 1, turns s A + G R^(rp+1) = 0 into s^2 A^2 = G^2 R^(2 rp + 2).
+    The candidates are 0, pi/2 and arccos(sqrt(u)) for every root u in
+    (0, 1), taken loosely (|Im u| <= 1e-6: a spurious one costs an
+    evaluation, a missed one the answer).  `on_circle` evaluates them,
+    skipping those it blanks next to a zero of P; theta_min is the best of
+    the rest, in [0, pi/2], and k_min is K there.  `params` is not read.
     """
-    cands = [0.0, 0.5 * np.pi]
-    if params is not None:
-        cands += _zeta_candidates(kf)
+    g, odd = np.zeros(1), []
+    for term in kf.terms:
+        N, P = (np.dot(c, _u_basis(len(c)))
+                for c in (term.num_coeffs, term.den_coeffs))
+        w, rp = term.radial_weight, term.radial_power
+        R = np.array([1.0 - w, w])
+        A = np.convolve(P, np.convolve(np.polyder(N), R) - rp * R[0] * N)
+        A -= 3.0 * np.convolve(np.convolve(N, R), np.polyder(P))
+        A *= term.prefactor
+        if w == 1.0:
+            g = np.polyadd(g, A)
+        else:
+            odd.append((A, reduce(np.convolve, [R] * round(2 * rp + 2))))
+    if odd:
+        (A, Rk), = odd                  # ValueError for two terms with w != 1
+        g = np.polysub(np.convolve(A, A), np.convolve(np.convolve(g, g), Rk))
+    # leads that cancel exactly (of P N' - 3 N P' at w = 1, rp = 3/2) are
+    # noise that spoils np.roots; below 1e-12 max|g| they barely move g
+    r = np.roots(g[np.argmax(np.abs(g) > 1e-12 * np.max(np.abs(g))):])
+    u = r.real[(np.abs(r.imag) <= 1e-6) & (r.real > 0.0) & (r.real < 1.0)]
+    th = np.concatenate([(0.0, 0.5 * np.pi), np.arccos(np.sqrt(u))])
     # P's zeros are th and pi - th with th in (0, pi/2]: 0 and pi/2 are
-    # never both blanked
-    zeros = _p_zeros(kf)
-    cands = [t for t in cands
-             if not any(_near(z, np.cos(t), np.sin(t)) for z in zeros)]
-
-    def kv(t):
-        return float(kf(np.cos(t), np.sin(t)))
-
-    best_t, best_v = min(((t, kv(t)) for t in cands), key=lambda tv: tv[1])
-    th, vals = circle_profile(kf, 4096)
-    # fmin(nan, inf) = inf: a blanked angle is never the best
-    i = int(np.argmin(np.fmin(vals, np.inf)))
-    if vals[i] < best_v:
-        lo, hi = th[i] - 2e-3, th[i] + 2e-3
-        while hi - lo > 1e-12:
-            t = np.linspace(lo, hi, 65)
-            v = on_circle(kf, np.cos(t), np.sin(t))
-            j = int(np.argmin(np.fmin(v, np.inf)))
-            lo, hi = t[max(j - 1, 0)], t[min(j + 1, 64)]
-        best_t, best_v = float(t[j]), kv(t[j])
-    return best_t % np.pi, best_v
+    # never both blanked, and fmin(nan, inf) = inf is never the best
+    t = float(th[np.argmin(np.fmin(on_circle(kf, np.cos(th), np.sin(th)),
+                                   np.inf))])
+    return t, float(kf(np.cos(t), np.sin(t)))

@@ -463,15 +463,6 @@ def check_stability(sol: ProfileSolution, n_eig: int = 6) -> np.ndarray:
     return vals
 
 
-def rayleigh_translation(sol: ProfileSolution) -> float:
-    """Rayleigh quotient of the translation mode psi' (0 for exact
-    solutions by translation invariance)."""
-    tr = sol.psi_prime()
-    dpot = sol.potential.d2w(sol.psi) / sol.m_e
-    Lt = _linearized(_kgrid(sol.N, sol.X), dpot, tr)
-    return float(np.dot(tr, Lt) / np.dot(tr, tr))
-
-
 def reconstruct_2d(sol: ProfileSolution, n1: int = 256, n2: int = 256):
     """Sample u(x) = psi(e.x) on the periodic cell [-X, X)^2 and measure the
     2D residual.

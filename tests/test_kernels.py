@@ -144,16 +144,21 @@ def test_circle_min_interior_candidate_case3():
 
 
 def test_circle_min_exact_critical_values():
-    # K is taken as it is at the exact critical angles: 0 and pi/2, and the
-    # closed-form interior ones
+    # K is taken as it is at the critical angles: 0 and pi/2, and the interior
+    # ones, here checked against the closed-form case-II roots of K'(u) = 0,
+    # u = (-b - 2a +- 2 sqrt(a^2 + b^2)) / (b - a) for P = a z1^2 + b z3^2
     dp = perp_from_parameters(1.0, 0.25, 2.0)
     kf = kernels.kernel_case1(dp)
-    assert kernels.circle_min(kf, dp) == (0.0, float(kf(1.0, 0.0)))
+    assert kernels.circle_min(kf) == (0.0, float(kf(1.0, 0.0)))
     dp = perp_from_parameters(1.0, 0.05, 0.1)     # interior case-II minimum
     kf = kernels.kernel_case2(dp)
-    (z,) = kernels._zeta_candidates(kf)
-    assert 0.1 < z < 0.5 * np.pi - 0.1
-    assert kernels.circle_min(kf, dp) == (z, float(kf(np.cos(z), np.sin(z))))
+    a, b = dp.q, dp.p
+    (u,) = [u for u in ((-b - 2.0 * a + s * 2.0 * np.hypot(a, b)) / (b - a)
+                        for s in (1.0, -1.0)) if 0.0 < u < 1.0]
+    t, v = kernels.circle_min(kf)
+    assert 0.1 < t < 0.5 * np.pi - 0.1
+    assert t == pytest.approx(np.arccos(np.sqrt(u)), abs=1e-12)
+    assert v == float(kf(np.cos(t), np.sin(t)))
 
 
 def test_circle_min_skips_the_zero_of_p_below_nu_minus_one():
@@ -190,13 +195,15 @@ def test_circle_profile_blanks_the_zero_of_p():
     assert near.any() and np.array_equal(np.isnan(vals), near)
 
 
-def test_circle_min_guard_finds_interior_minimum_without_params():
-    dp = perp_from_parameters(1.0, 0.05, 0.1)
-    kf = kernels.kernel_case2(dp)
-    t0, v0 = kernels.circle_min(kf, dp)
-    t1, v1 = kernels.circle_min(kf)
-    assert v1 == pytest.approx(v0, rel=1e-12)
-    assert t1 == pytest.approx(t0, abs=1e-6)
+def test_circle_min_does_not_read_params():
+    # one rule for every case, interior minima (II) and zeros of P (I,
+    # nu < -1) included
+    for case, cell in (("I", (0.25, 1.5)), ("I", (-1.2, 0.6)),
+                       ("II", (0.05, 0.1)), ("III", (1.0, -0.45))):
+        c = regions.case(case)
+        params = c.scan_params(*cell)
+        kf = c.kernel(params)
+        assert kernels.circle_min(kf, params) == kernels.circle_min(kf)
 
 
 _DENSE = np.linspace(0.0, np.pi, 20001, endpoint=False)
@@ -208,24 +215,29 @@ _DENSE = np.linspace(0.0, np.pi, 20001, endpoint=False)
 def test_circle_min_brackets_dense_grid(delta, s, nu_iso):
     lo = 1.0 - 2.0 / delta
     dp = perp_from_parameters(1.0, lo + s * (0.5 - lo), delta)
-    # case I below nu = -1 has c < 0: P vanishes on the circle, and N/P^3
-    # is rounding noise near that zero
+    # case I below nu = -1 (delta < 1) has c < 0: P vanishes on the circle,
+    # and the dense grid is blanked there by `on_circle`, as circle_min's
+    # candidates are
     lo1 = max(lo, -1.0)
     dp1 = perp_from_parameters(1.0, lo1 + s * (0.5 - lo1), delta)
+    forms = [(kernels.kernel_case1(dp1), dp1), (kernels.kernel_case2(dp), dp)]
+    if lo < -1.0:
+        dpb = perp_from_parameters(1.0, lo + s * (-1.0 - lo), delta)
+        forms.append((kernels.kernel_case1(dpb), dpb))
     dpar = derive_parallel(from_isotropic(1.0, nu_iso))
-    for kf, par in ((kernels.kernel_case1(dp1), dp1),
-                    (kernels.kernel_case2(dp), dp),
-                    (kernels.kernel_case3(dpar), dpar)):
+    forms.append((kernels.kernel_case3(dpar), dpar))
+    for kf, par in forms:
         t, v = kernels.circle_min(kf, par)
         assert v == float(kf(np.cos(t), np.sin(t)))
-        vals = kf(np.cos(_DENSE), np.sin(_DENSE))
-        i = int(np.argmin(vals))
-        scale = float(np.max(np.abs(vals)))
+        vals = kernels.on_circle(kf, np.cos(_DENSE), np.sin(_DENSE))
+        i = int(np.nanargmin(vals))
+        scale = float(np.nanmax(np.abs(vals)))
         assert v <= vals[i] + 1e-12 * scale
         # a sharp minimum can fall between two dense angles by more than
         # 1e-7 max|K|: the lower reference adds a fine grid around the best
         local = _DENSE[i] + np.linspace(-1.0, 1.0, 2001) * (_DENSE[1] - _DENSE[0])
-        floor = min(vals[i], float(np.min(kf(np.cos(local), np.sin(local)))))
+        floor = min(vals[i], float(np.nanmin(
+            kernels.on_circle(kf, np.cos(local), np.sin(local)))))
         assert v >= floor - 1e-7 * scale
 
 
