@@ -272,12 +272,32 @@ def _cmd_extend(args):
     return EXIT_OK if res <= 1e-4 else EXIT_NO_CONVERGENCE
 
 
+def _pair_sum_energy(field, kf, R):
+    """The nonlocal part of E(u; B_R) as the direct sum of
+    (u(x)-u(y))^2 K(x-y) dA^2 / (8 pi) over the grid pairs not both outside
+    B_R, at min-image offsets within the half-cell disc, origin excluded."""
+    n1, n2 = field.shape
+    h1, h2 = field.L1 / n1, field.L2 / n2
+    x1, x2 = field.axes()
+    inside = (x1[:, None] ** 2 + x2 ** 2 <= R * R).ravel()
+    i1, i2 = np.indices((n1, n2)).reshape(2, -1)
+    y1 = ((i1[:, None] - i1 + n1 // 2) % n1 - n1 // 2) * h1
+    y2 = ((i2[:, None] - i2 + n2 // 2) % n2 - n2 // 2) * h2
+    r = np.hypot(y1, y2)
+    pair = ((r > 0.0) & (r <= 0.5 * min(field.L1, field.L2))
+            & (inside[:, None] | inside))
+    u = field.values.ravel()
+    du2 = (u[:, None] - u)[pair] ** 2
+    return float(np.sum(du2 * kf(y1[pair], y2[pair]))) * (h1 * h2) ** 2 \
+        / (8.0 * np.pi)
+
+
 def _cmd_verify(args):
     from .moduli import ElasticConstants, from_isotropic, \
         perp_from_parameters, perp_to_constants, derive_parallel
     from . import kernels
     from .nonlocal_ops import GridField2D, apply_kernel_quadrature, \
-        apply_multiplier
+        apply_multiplier, energy
     from . import extension
 
     rng = np.random.default_rng(args.seed)
@@ -361,6 +381,15 @@ def _cmd_verify(args):
     dtn = regions.case("III").dtn(derive_parallel(ec), k1, k2)
     gap = float(np.max(np.abs(A - dtn)) / np.max(np.abs(dtn)))
     checks["parallel_traction_map"] = gap
+    ok = ok and gap <= 1e-12
+
+    # ball-localized energy by FFT convolutions against the direct pair sum,
+    # case II, on a 16 x 32 cell with h1 != h2
+    fld = GridField2D(30.0, 24.0, rng.standard_normal((16, 32)))
+    kf = case2.kernel(dp)
+    pair = _pair_sum_energy(fld, kf, 5.0)
+    gap = abs(energy(fld, kf=kf, R=5.0).nonlocal_part - pair) / abs(pair)
+    checks["localized_energy_pair_sum"] = gap
     ok = ok and gap <= 1e-12
 
     checks["ok"] = bool(ok)

@@ -100,6 +100,45 @@ class KernelForm:
             out += t(x1, x3)
         return out
 
+    def on_grid(self, x1, x3):
+        """K at every (x1[i], x3[j]) of two 1-D coordinate arrays, shape
+        (len(x1), len(x3)); 0 at the origin, which sums over grid offsets
+        exclude.
+
+        A term's N and P are power-table products (V1 diag c) V3^T with
+        V1[:, i] = x1^(2(n-1-i)) and V3[:, i] = x3^(2i), and s N/R^rp is
+        one power and one divide, R = x1^2 + w x3^2; terms sharing P add
+        up before one divide by P^3.  Agrees with `__call__` to rounding.
+        """
+        s1 = np.asarray(x1, dtype=float) ** 2
+        s3 = np.asarray(x3, dtype=float) ** 2
+        origin = np.ix_(s1 == 0.0, s3 == 0.0)
+
+        def poly(coeffs, scale=1.0):
+            n = len(coeffs)
+            return (np.vander(s1, n) * (scale * np.array(coeffs))
+                    @ np.vander(s3, n, increasing=True).T)
+
+        sums = {}
+        for t in self.terms:
+            rad = s1[:, None] + t.radial_weight * s3
+            rad[origin] = np.inf                # so that N/R^rp is 0 there
+            rad **= t.radial_power
+            part = poly(t.num_coeffs, t.prefactor)
+            part /= rad
+            if t.den_coeffs in sums:
+                sums[t.den_coeffs] += part
+            else:
+                sums[t.den_coeffs] = part
+        out = None
+        for den_coeffs, part in sums.items():
+            cube = poly(den_coeffs)
+            cube[origin] = 1.0
+            cube *= cube * cube
+            part /= cube
+            out = part if out is None else out + part
+        return out
+
 
 # ---------------------------------------------------------------------------
 # coefficient tables
@@ -401,7 +440,15 @@ def circle_min(kf: KernelForm, params=None):
     evaluation, a missed one the answer).  `on_circle` evaluates them,
     skipping those it blanks next to a zero of P; theta_min is the best of
     the rest, in [0, pi/2], and k_min is K there.  `params` is not read.
+
+    ValueError for a single case-I term with a zero of P on the circle (a
+    part of `kernel_case1_parts` below nu = -1): only the composite pair's
+    numerators cancel that zero, and a lone term has a pole there, so no
+    minimum.
     """
+    if _p_zeros(kf) and len(kf.terms) != 2:
+        raise ValueError("a case-I kernel term alone has a pole where P "
+                         "vanishes on the circle: no minimum")
     g, odd = np.zeros(1), []
     for term in kf.terms:
         N, P = (np.dot(c, _u_basis(len(c)))

@@ -25,7 +25,10 @@ Fields are real and multipliers even, so every transform is on the rfft2
 half spectrum (`kgrid`, k2 >= 0).  `energy` computes the whole-cell energy
 by Plancherel and the localized energy E(u; B_R) (double integral
 excluding B_R^c x B_R^c) by FFT convolutions; `localized_energies` does so
-for several radii from one kernel sampling.
+for several radii from one kernel sampling.  The kernel is sampled on the
+quadrant of grid offsets by `KernelForm.on_grid`, and its spectrum, real
+because K is even in each coordinate, is built from that quadrant by two
+real transforms of even extensions (`_kernel_spectrum`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .kernels import KernelForm
 
 #: Midpoint directions on [0, pi) in the kernel quadrature.
 N_THETA = 128
@@ -58,9 +63,21 @@ def wavenumbers(L1: float, L2: float, n1: int, n2: int):
     return np.meshgrid(k1, k2, indexing="ij")
 
 
-def _apply(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The even multiplier m, on the half spectrum, applied to real u."""
-    return np.fft.irfft2(m * np.fft.rfft2(u), s=u.shape)
+def _apply(m: np.ndarray, u: np.ndarray,
+           rows: slice = slice(None)) -> np.ndarray:
+    """The even multiplier m, on the half spectrum, applied to real u, on
+    the rows `rows` of the result: `irfft2` written out, the inverse
+    transform along axis 0 and then along axis 1 on those rows only."""
+    z = np.fft.rfft2(u)
+    z *= m
+    z = np.fft.ifft(z, axis=0)[rows]
+    return np.fft.irfft(z, n=u.shape[1], axis=1)
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True of a 1-D mask."""
+    i = np.flatnonzero(mask)
+    return slice(i[0], i[-1] + 1)
 
 
 @dataclass
@@ -190,29 +207,30 @@ def aniso_half_laplacian(rho: float, field: GridField2D,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _sampled_kernel(kf: Callable, field: GridField2D,
-                    r_window: float) -> np.ndarray:
-    """K sampled at min-image grid offsets within |y| <= r_window, origin 0.
+def _kernel_spectrum(kf: KernelForm, field: GridField2D,
+                     r_window: float) -> np.ndarray:
+    """dA times the half spectrum of K sampled at the min-image grid offsets
+    within |y| <= r_window, origin 0: real, as K is even in each coordinate.
 
-    K is even in each coordinate, so it is evaluated on the quadrant of
-    offsets (0..n1/2) h1 x (0..n2/2) h2 only and mirrored into the other
-    three: row n1 - i repeats row i, column n2 - j repeats column j.
+    K is sampled on the quadrant of offsets (0..n1/2) h1 x (0..n2/2) h2 by
+    `KernelForm.on_grid`.  Along each axis the min-image samples are the
+    even extension of the quadrant (offset n - i repeats offset i), whose
+    rfft is real; the axis-0 one, even in k1, is mirrored into k1 < 0.
     """
     n1, n2 = field.shape
-    y1, y2 = np.meshgrid(np.arange(n1 // 2 + 1) * (field.L1 / n1),
-                         np.arange(n2 // 2 + 1) * (field.L2 / n2),
-                         indexing="ij")
-    r = np.hypot(y1, y2)
-    y1[0, 0] = 1.0  # patch the origin before calling, as _multiplier_grid
-    K = np.asarray(kf(y1, y2), dtype=float)
-    K[0, 0] = 0.0
-    K[r > r_window] = 0.0
-    K = np.concatenate((K, K[-2:0:-1]), axis=0)
-    return np.concatenate((K, K[:, -2:0:-1]), axis=1)
+    y1 = np.arange(n1 // 2 + 1) * (field.L1 / n1)
+    y2 = np.arange(n2 // 2 + 1) * (field.L2 / n2)
+    K = kf.on_grid(y1, y2)
+    K[np.hypot(y1[:, None], y2) > r_window] = 0.0
+    K = np.fft.rfft(np.concatenate((K, K[:, -2:0:-1]), axis=1), axis=1).real
+    K = np.fft.rfft(np.concatenate((K, K[-2:0:-1]), axis=0), axis=0).real
+    Kh = np.concatenate((K, K[-2:0:-1]), axis=0)
+    Kh *= field.L1 / n1 * (field.L2 / n2)
+    return Kh
 
 
 def energy(field: GridField2D, potential: Optional[Callable] = None,
-           symbol: Optional[Callable] = None, kf: Optional[Callable] = None,
+           symbol: Optional[Callable] = None, kf: Optional[KernelForm] = None,
            R: Optional[float] = None) -> EnergyReport:
     """Nonlocal + potential energy of a periodic field.
 
@@ -222,7 +240,8 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     double integral of |u(x)-u(y)|^2 K(x-y) by Plancherel.  The sum runs
     over the half spectrum, where columns 1 .. n2/2 - 1 stand for k and -k.
 
-    Localized (needs `kf`): `localized_energies` at the one radius R.
+    Localized (needs `kf`, a KernelForm): `localized_energies` at the one
+    radius R.
     """
     if R is not None:
         return localized_energies(field, kf, (R,), potential)[0]
@@ -238,7 +257,7 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     return EnergyReport(nl, pot, nl + pot, None)
 
 
-def localized_energies(field: GridField2D, kf: Callable,
+def localized_energies(field: GridField2D, kf: KernelForm,
                        radii: Sequence[float],
                        potential: Optional[Callable] = None
                        ) -> list[EnergyReport]:
@@ -248,7 +267,8 @@ def localized_energies(field: GridField2D, kf: Callable,
     except B_R^c x B_R^c, with the 1/(8 pi) normalization of `energy`,
     evaluated by FFT convolutions against the min-image sampled kernel
     (origin cell excluded), plus int_{B_R} W(u).  K is sampled and
-    transformed once; each R in (0, min(L1, L2)/2] takes two convolutions.
+    transformed once (`_kernel_spectrum`); each R in (0, min(L1, L2)/2]
+    takes two convolutions, inverse-transformed on the rows that meet B_R.
     """
     half = 0.5 * min(field.L1, field.L2)
     for R in radii:
@@ -256,31 +276,36 @@ def localized_energies(field: GridField2D, kf: Callable,
             raise ValueError(f"R = {R} outside (0, min(L1, L2)/2]")
     if kf is None:
         raise ValueError("localized energy needs a kernel")
+    if not isinstance(kf, KernelForm):
+        raise TypeError("localized energy needs a KernelForm, got "
+                        f"{type(kf).__name__}")
 
     n1, n2 = field.shape
     dA = field.L1 / n1 * (field.L2 / n2)
-    K = _sampled_kernel(kf, field, half)
-    Kh = np.fft.rfft2(K)
-    kappa0 = float(np.sum(K)) * dA
-
-    def conv(f):
-        return _apply(Kh, f) * dA
-
+    Kh = _kernel_spectrum(kf, field, half)
+    kappa0 = float(Kh[0, 0])                # dA sum K, the zero mode
     x1, x2 = field.axes()
-    r2 = x1[:, None] ** 2 + x2[None, :] ** 2
     u = field.values
     # Pairs with x in B_R: y in B_R counts once, y outside twice (the pair
     # also enters as (y, x)), so the double integral is the sum over x in B_R
     # of int w(y) (u(x)-u(y))^2 K(x-y) dy with w = 2 - chi.  Expanding the
     # square, its u(x)^2 (K*w)(x) term holds sum chi u^2 (K*chi), which is
-    # sum chi K*(chi u^2) by K(-y) = K(y); what is left is 2 S(x) below.
+    # sum chi K*(chi u^2) by K(-y) = K(y); what is left is 2 S(x) below,
+    # S = kappa0 u^2 - u K*((2 - chi) u) + K*((1 - chi) u^2), formed on B_R
+    # only, within the box of the rows and columns that meet it.
     reports = []
     for R in radii:
-        inside = r2 <= R * R
-        chi = inside.astype(float)
-        S = (kappa0 * u * u - u * conv((2.0 - chi) * u)
-             + conv((1.0 - chi) * u * u))
-        nl = 2.0 * float(np.sum(S[inside])) * dA / (8.0 * np.pi)
-        pot = float(np.sum(potential(u[inside]))) * dA if potential else 0.0
+        rows, cols = (_span(x * x <= R * R) for x in (x1, x2))
+        inside = x1[rows, None] ** 2 + x2[None, cols] ** 2 <= R * R
+        ui = u[rows, cols][inside]
+        a = u + u                           # (2 - chi) u
+        a[rows, cols][inside] = ui
+        b = u * u                           # (1 - chi) u^2
+        b[rows, cols][inside] = 0.0
+        S = kappa0 * ui * ui
+        S -= ui * _apply(Kh, a, rows)[:, cols][inside]
+        S += _apply(Kh, b, rows)[:, cols][inside]
+        nl = 2.0 * float(np.sum(S)) * dA / (8.0 * np.pi)
+        pot = float(np.sum(potential(ui))) * dA if potential else 0.0
         reports.append(EnergyReport(nl, pot, nl + pot, R))
     return reports

@@ -334,6 +334,7 @@ def test_verify_passes(capsys):
     assert rep["duality"] <= 1e-3
     assert rep["region_mismatches"] == 0
     assert rep["parallel_traction_map"] <= 1e-12
+    assert rep["localized_energy_pair_sum"] <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [["--threads", "2", "verify"],
@@ -557,6 +558,7 @@ def test_region_prints_stats(capsys):
 
 _IMPORT_PROBE = """
 import sys
+import numpy as np
 from pndislo import (cli, extension, kernels, moduli, nonlocal_ops, regions,
                      solver, symbols)
 out = sys.argv[1]
@@ -575,17 +577,23 @@ calls = [["validate"] + iso,
           "--X", "50", "--N", "512", "--n-eig", "3"]]
 for argv in calls:
     assert cli.main(argv) == 0, argv
-sol = solver.solve_profile("II", regions.case("II").derive(
-    moduli.from_isotropic(1.0, 0.25)), X=50.0, N=512)
+dp = regions.case("II").derive(moduli.from_isotropic(1.0, 0.25))
+sol = solver.solve_profile("II", dp, X=50.0, N=512)
 solver.check_stability(sol, n_eig=3)
+fld = nonlocal_ops.GridField2D.from_function(
+    16.0, 16.0, 32, 32, lambda x, y: np.tanh(x) + 0.0 * y)
+kf = kernels.kernel_case2(dp)
+nonlocal_ops.energy(fld, potential=sol.potential, kf=kf, R=4.0)
+nonlocal_ops.apply_kernel_quadrature(kf, fld)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 """
 
 
 def test_solve_path_loads_no_scipy(tmp_path):
-    # importing pndislo, the closed-form subcommands, `solve` and
-    # solve_profile/check_stability run on numpy alone
+    # importing pndislo, the closed-form subcommands, `solve`,
+    # solve_profile/check_stability, the localized energy and the kernel
+    # quadrature run on numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                           str(tmp_path)], capture_output=True, text=True,

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pndislo import kernels, regions
-from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
-                            perp_from_parameters)
+from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
+                            from_isotropic, perp_from_parameters)
 
 ISO = from_isotropic(1.0, 0.25)
 DP_ISO = derive_perp(ISO)
@@ -130,13 +130,15 @@ def test_circle_min_matches_dense_grid_isotropic(q):
     assert v == pytest.approx(dense, abs=1e-7)
 
 
-def test_circle_min_interior_candidate_case3():
-    # eta ratio in (4/3, 3/2): the minimum sits at an interior angle
+def test_circle_min_case3_minimum_on_an_axis():
+    # the case-III K(cos^2 theta) has no interior minimum for any eta1/eta2
+    # (a dense scan of the ratio over (0.2, 5) finds none): at nu = -0.45,
+    # eta1/eta2 in (4/3, 3/2), the minimum is the candidate pi/2 itself
     dpar = derive_parallel(from_isotropic(1.0, -0.45))
     assert 4.0 / 3.0 < dpar.eta1 / dpar.eta2 < 1.5
     kf = kernels.kernel_case3(dpar)
     t, v = kernels.circle_min(kf, dpar)
-    assert 1e-3 < t < np.pi - 1e-3
+    assert t == 0.5 * np.pi
     th = np.linspace(0.0, np.pi, 20001, endpoint=False) + 1e-9
     dense = float(np.min(kf(np.cos(th), np.sin(th))))
     assert v <= dense + 1e-12           # refined min can only be lower
@@ -298,17 +300,65 @@ def test_on_circle_of_a_list_is_one_row_per_kernel(case):
     assert np.isnan(rows).any() == (case == "I")
 
 
-@pytest.mark.parametrize("params", [None, DP_ISO], ids=["bare", "params"])
-def test_circle_min_skips_a_candidate_next_to_a_zero_of_p(params):
-    # P = x1^4 + x1^2 x3^2 + c x3^4 vanishes 1e-4 rad from pi/2, where the
-    # float value of K is -1e24; no angle within P_ZERO_GAP of it may win
-    t = math.tan(1e-4) ** 2
-    kf = kernels.KernelForm("I", (kernels.KernelTerm(
-        1.0, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0), 1.0, 1.5,
-        (1.0, 1.0, -(t * t + t))),))
+@pytest.mark.parametrize("with_params", [False, True], ids=["bare", "params"])
+def test_circle_min_skips_a_candidate_next_to_a_zero_of_p(with_params):
+    # just below nu = -1, P vanishes 6.8e-5 rad from pi/2; within
+    # P_ZERO_GAP of its zeros the float K of the composite is noise, as low
+    # as -1e9, and some critical angles fall there: none of them may win
+    dp = perp_from_parameters(1.0, -1.0 - 1e-8, 0.3)
+    kf = kernels.kernel_case1(dp)
     zeros = kernels._p_zeros(kf)
-    assert zeros[0] == pytest.approx(0.5 * np.pi - 1e-4, abs=1e-12)
-    assert float(kf(0.0, 1.0)) < -1e23
-    theta, kmin = kernels.circle_min(kf, params)
+    assert 0.5 * np.pi - zeros[0] == pytest.approx(6.79e-5, rel=1e-3)
+    gap = np.add.outer(zeros, np.linspace(-1.0, 1.0, 2001)
+                       * kernels.P_ZERO_GAP).ravel()
+    theta, kmin = kernels.circle_min(kf, dp if with_params else None)
+    assert float(np.min(kf(np.cos(gap), np.sin(gap)))) < -1e5
     assert min(abs(theta - z) for z in zeros) > kernels.P_ZERO_GAP
-    assert kmin > 0.0
+    assert (theta, kmin) == (0.0, float(kf(1.0, 0.0)))
+    assert kmin > 0.5
+
+
+def test_circle_min_rejects_a_lone_case1_term_with_a_pole():
+    # below nu = -1 each part of the composite has a real pole where P
+    # vanishes; only the weighted pair cancels it
+    dp = perp_from_parameters(1.0, -1.169, 0.522)
+    for part in kernels.kernel_case1_parts(dp):
+        with pytest.raises(ValueError, match="pole"):
+            kernels.circle_min(part)
+    t, v = kernels.circle_min(kernels.kernel_case1(dp))
+    assert t == 0.0 and v == pytest.approx(0.7204350137275721, rel=1e-12)
+    # above nu = -1 the parts have no zero of P and keep their minimum
+    for part in kernels.kernel_case1_parts(DP_ANISO):
+        assert np.isfinite(kernels.circle_min(part)[1])
+
+
+def _grid_forms():
+    below = perp_from_parameters(1.0, -1.2, 0.6)
+    k1, k2 = kernels.kernel_case1_parts(DP_ANISO)
+    return {"I": kernels.kernel_case1(DP_ANISO), "I_K1": k1, "I_K2": k2,
+            "I_below": kernels.kernel_case1(below),
+            "II": kernels.kernel_case2(perp_from_parameters(1.0, 0.05, 0.1)),
+            "III": kernels.kernel_case3(derive_parallel(
+                ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))),
+            "iso": kernels.kernel_isotropic(1.0, 0.75)}
+
+
+@pytest.mark.parametrize("name", list(_grid_forms()))
+def test_on_grid_matches_pointwise(name):
+    # a non-square grid with unequal spacings, origin included (reads 0).
+    # For nu < -1 the points within 0.3 rad of a zero of P are left out:
+    # both evaluations cancel there, and at (-1.2, 0.6) they part by up to
+    # 1.4e-8 relative 3.4e-3 rad from the zero, 8e-13 at 0.1 rad
+    kf = _grid_forms()[name]
+    x1 = np.arange(17) * 0.37
+    x3 = np.arange(9) * 1.1
+    grid = kf.on_grid(x1, x3)
+    assert grid.shape == (17, 9) and grid[0, 0] == 0.0
+    X1, X3 = np.meshgrid(x1, x3, indexing="ij")
+    keep = (X1 > 0.0) | (X3 > 0.0)
+    for z in kernels._p_zeros(kf):
+        keep &= np.abs(np.arctan2(X3, X1) - z) > 0.3
+    ref = kf(X1[keep], X3[keep])
+    # K1 vanishes on the x3 axis: there the gap is absolute
+    assert np.all(np.abs(grid[keep] - ref)
+                  <= 1e-13 * np.abs(ref) + 1e-16 * np.max(np.abs(ref)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pndislo import kernels, symbols
+from pndislo import kernels, nonlocal_ops, symbols
 from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
                             perp_from_parameters)
 from pndislo.nonlocal_ops import (N_THETA, GridField2D, aniso_half_laplacian,
@@ -314,6 +314,36 @@ def test_localized_energy_validation():
         energy(f, R=3.0)       # kernel missing
     with pytest.raises(ValueError):
         energy(f)              # symbol missing
+    # the kernel is sampled on the grid by KernelForm.on_grid: a bare
+    # callable is rejected
+    iso = kernels.kernel_isotropic(1.0, 0.75)
+    with pytest.raises(TypeError, match="KernelForm"):
+        energy(f, kf=lambda z1, z2: iso(z1, z2), R=3.0)
+
+
+@pytest.mark.parametrize("kf", [kernels.kernel_case1(DP_ANISO),
+                                kernels.kernel_case2(DP),
+                                kernels.kernel_case3(DPAR)],
+                         ids=["case1", "case2", "case3"])
+@pytest.mark.parametrize("cell", [(30.0, 24.0, 16, 32), (20.0, 50.0, 64, 16)],
+                         ids=["wide", "tall"])
+def test_kernel_spectrum_is_rfft2_of_the_mirrored_kernel(kf, cell):
+    # the real spectrum built on the quadrant against the complex rfft2 of
+    # K at every min-image offset, evaluated pointwise
+    L1, L2, n1, n2 = cell
+    f = GridField2D(L1, L2, np.zeros((n1, n2)))
+    half = 0.5 * min(L1, L2)
+    d1 = (np.arange(n1) + n1 // 2) % n1 - n1 // 2
+    d2 = (np.arange(n2) + n2 // 2) % n2 - n2 // 2
+    y1, y2 = np.meshgrid(d1 * (L1 / n1), d2 * (L2 / n2), indexing="ij")
+    off = (y1 != 0.0) | (y2 != 0.0)
+    K = np.zeros((n1, n2))
+    K[off] = kf(y1[off], y2[off])
+    K[np.hypot(y1, y2) > half] = 0.0
+    ref = np.fft.rfft2(K) * (L1 / n1 * (L2 / n2))
+    Kh = nonlocal_ops._kernel_spectrum(kf, f, half)
+    assert Kh.dtype == float and Kh.shape == ref.shape
+    assert np.max(np.abs(Kh - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @given(c=st.floats(-2.0, 2.0))
