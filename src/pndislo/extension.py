@@ -21,7 +21,7 @@ gives the normal displacement.
 The slip plane is a mirror plane: reflection flips the sign of M1, the only
 block coupling u_n to the slip components, so u(xn) -> J u(-xn), J = diag(+1
 on n, -1 on the slip axes), maps solutions to solutions.  The growing
-generator is -J D J, and Bminus(xn) = J Bplus(-xn) J.  Slip-plane data is
+generator is -J D J, the lower propagator J Bplus(-xn) J.  Slip-plane data is
 real: `extend` uses the rfft2 half spectrum, slip derivatives m x m matrices.
 """
 
@@ -126,11 +126,6 @@ class HalfSpaceSystem:
         x, t = np.asarray(xn, dtype=float), _axes(self.orientation)[2]
         B = self.propagate(x.ravel(), np.diag(t)) / t[:, None]
         return B.reshape(B.shape[:-3] + x.shape + (3, 3))
-
-    def bminus(self, xn) -> np.ndarray:
-        """Lower half-space propagator, J bplus(-xn) J; xn as in `bplus`."""
-        J = _axes(self.orientation)[3]
-        return J[:, None] * self.bplus(-np.asarray(xn, dtype=float)) * J
 
     def dbplus0(self) -> np.ndarray:
         """d/dxn of bplus at 0."""
@@ -305,11 +300,14 @@ def extend(orientation: str, ec: ElasticConstants,
     the zero frequency extends as a constant.  du_normal = D exp(D xn) w,
     the generator times the propagated vectors, mirrored by -J below.  A
     grid cannot hold the odd part of a Nyquist mode, so Nyquist content is
-    a ValueError.  The field's stats are those of `build_halfspace`.
+    a ValueError, as are non-finite normal samples.  The field's stats are
+    those of `build_halfspace`.
     """
     if boundary_a.shape != boundary_b.shape or \
             (boundary_a.L1, boundary_a.L2) != (boundary_b.L1, boundary_b.L2):
         raise ValueError("boundary components must share one grid")
+    if not np.all(np.isfinite(x_normal)):
+        raise ValueError("normal samples must be finite")
     n, (sa, sb), t, J = _axes(orientation)
     (n1, n2), (ka, kb) = boundary_a.shape, boundary_a.kgrid()
     up = np.zeros((3,) + ka.shape, dtype=complex)
@@ -381,7 +379,11 @@ def interior_residual(field: Field3D) -> float:
     The residual is normalized by the largest absolute term entering any
     equation row (per half-space).  At normal spacing 0.1 its roundoff floor
     is near 1e-12: residuals that small differ by roundoff, not accuracy.
+    Raises ValueError unless the samples are finite and each half's are
+    increasing with uniform spacing; non-finite derivatives give nan.
     """
+    if not np.all(np.isfinite(field.x_normal)):
+        raise ValueError("normal samples must be finite")
     sa, sb = _axes(field.orientation)[1]
     C = stiffness(field.ec)
     terms = [(i, k, j, l, c) for i in range(3) for k in range(3)
@@ -389,14 +391,15 @@ def interior_residual(field: Field3D) -> float:
              if (c := C[i, j, k, l] + (j != l) * C[i, l, k, j]) != 0.0]
     Da, Db = ({p: _slip_derivative(m, L, p) for p in (1, 2)}
               for m, L in zip(field.u.shape[2:], (field.L1, field.L2)))
-    worst = 0.0
+    worst = []
     for half in (field.x_normal >= 0.0, field.x_normal < 0.0):
         xn = field.x_normal[half]
         if xn.size < 17:          # 4 layers per side + a 9-point stencil
             raise ValueError("not enough normal samples for the FD stencil")
         hs = np.diff(xn)
-        if np.max(np.abs(hs - hs[0])) > 1e-12 * abs(hs[0]):
-            raise ValueError("normal samples must be uniformly spaced")
+        if not (hs[0] > 0.0 and np.max(np.abs(hs - hs[0])) <= 1e-12 * hs[0]):
+            raise ValueError("normal samples must be increasing and uniformly "
+                             "spaced")
         u = field.u[:, half]                       # (3, nn, n1, n2)
         fields = {}       # d_j d_l u_k by (k, orders on sa, sb), formed once
         rows = [[], [], []]
@@ -413,9 +416,9 @@ def interior_residual(field: Field3D) -> float:
         # identically zero for the given data must not divide noise by noise
         scale = max(max(np.max(np.abs(t)) for t in row) for row in rows)
         scale = max(scale, 1e-300)
-        for row in rows:
-            worst = max(worst, float(np.max(np.abs(sum(row))) / scale))
-    return worst
+        worst += [np.max(np.abs(sum(row))) / scale for row in rows]
+    # np.max, not max(): a NaN row must not give way to the other half
+    return float(np.max(worst))
 
 
 def stress_strain(field: Field3D):

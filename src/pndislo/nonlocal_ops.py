@@ -98,8 +98,8 @@ class GridField2D:
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d array")
         _check_counts(*self.values.shape)
-        if not (self.L1 > 0.0 and self.L2 > 0.0):
-            raise ValueError("cell lengths must be positive")
+        if not (0.0 < self.L1 < np.inf and 0.0 < self.L2 < np.inf):
+            raise ValueError("cell lengths must be finite and positive")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 

@@ -62,7 +62,10 @@ def smallest_positive_root_rtilde(q: float):
 def _case2_conditions(p: float, q: float):
     """The three closed-form sign expressions; the third is active only on
     the branches where an interior critical angle exists (p <= 3q/4 or
-    p >= 4q/3; vacuous on the band in between and singular at p = q)."""
+    p >= 4q/3; vacuous on the band in between and singular at p = q).  On
+    the branch p <= 3q/4 with q in (1/2, 1), e3 > 0 exactly when p > r~(q),
+    `smallest_positive_root_rtilde`: the root of acceptance criterion 09 is
+    this boundary."""
     e1 = 2.0 * (2.0 * p * q - 2.0 * p + q) / q ** 2
     e2 = 2.0 * (p - 2.0 * q + 2.0) / p
     e3 = None

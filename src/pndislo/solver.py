@@ -9,8 +9,8 @@ e = (cos theta, sin theta).  The solver substitutes psi = phi + v with the
 fixed background phi(x) = (2/pi) arctan(x), whose half-Laplacian is known in
 closed form, (2/pi) x / (1 + x^2); the deviation v decays and is treated
 periodically on [-X, X) with real FFTs.  Semi-implicit spectral gradient flow
-globalizes, damped Newton (MINRES with a circulant preconditioner) finishes to
-tol_solve.
+globalizes (at most FLOW_MAXITER steps), damped Newton (MINRES with a
+circulant preconditioner) finishes to TOL_SOLVE; both are read at call time.
 
 The flow step treats |k| implicitly and W'(psi)/m explicitly, so only the
 latter limits it: with L = max|W''|/m on [-1, 1] it is stable for dt <= 2/L,
@@ -36,6 +36,8 @@ from . import regions
 from .nonlocal_ops import GridField2D, apply_multiplier, cell_axes
 
 TOL_SOLVE = 1e-10
+#: steps allowed to the gradient-flow run
+FLOW_MAXITER = 4000
 #: gradient flow hands over to Newton below this residual
 NEWTON_SWITCH = 1e-4
 #: floor of the LOBPCG preconditioner shift, as a fraction of the bottom of
@@ -57,8 +59,8 @@ class Potential:
     """Misfit potential W with wells at +-1.
 
     Evaluators w, dw, d2w are plain callables; construction checks the well
-    conditions numerically: W(+-1) = 0, W'(+-1) = 0, W > 0 on (-1, 1),
-    W''(+-1) > 0.
+    conditions numerically: a finite scale, W(+-1) = 0, W'(+-1) = 0, W > 0
+    on (-1, 1), W''(+-1) > 0.
     """
 
     def __init__(self, kind: str, scale: float, w: Callable, dw: Callable,
@@ -69,17 +71,20 @@ class Potential:
         self._check()
 
     def _check(self):
+        # every test is written so that NaN fails it
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale = {self.scale!r} is not finite")
         ref = max(1.0, abs(self.scale))
         for s in (-1.0, 1.0):
             w, dw, d2w = (float(f(s)) for f in (self.w, self.dw, self.d2w))
-            if abs(w) > 1e-9 * ref:
+            if not abs(w) <= 1e-9 * ref:
                 raise ValueError(f"W({s:+g}) = {w!r} is not 0")
-            if abs(dw) > 1e-6 * ref:
+            if not abs(dw) <= 1e-6 * ref:
                 raise ValueError(f"W'({s:+g}) = {dw!r} is not 0")
-            if d2w <= 0.0:
+            if not d2w > 0.0:
                 raise ValueError(f"W''({s:+g}) = {d2w!r} must be > 0")
         u = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 401)
-        if np.min(self.w(u)) <= 0.0:
+        if not np.min(self.w(u)) > 0.0:
             raise ValueError("W must be positive on (-1, 1)")
 
     def __call__(self, u):
@@ -289,22 +294,21 @@ def _lobpcg(A, T, X, tol, maxiter):
 
 def solve_profile(case: str, params, potential: Optional[Potential] = None,
                   theta: float = 0.0, X: float = 200.0, N: int = 4096,
-                  method: str = "newton", tol_solve: float = TOL_SOLVE,
-                  max_iter: int = 4000) -> ProfileSolution:
+                  method: str = "newton") -> ProfileSolution:
     """Solve the 1D profile equation in direction theta.
 
     If `potential` is omitted, the cosine potential with amplitude m(e) is
     used (its exact solution is the arctan background).  `method` is
-    "gradient-flow" (one flow run of at most max_iter steps to tol_solve) or
-    "newton" (one flow run to NEWTON_SWITCH, then one damped Newton run of
-    at most 40 steps).  The translation is fixed by symmetry alone: for an
-    even W, the grid, the odd background and the start v = 0 make the
-    solution odd, centred at x = 0.  A W that is not even breaks that
-    symmetry; its solves have stalled above tol_solve, at floors that fall
-    as X grows (likely the periodic truncation; non-existence is not
-    shown), and they end in SolverError.  Raises ValueError unless X > 0 is finite and
-    N >= 4, and SolverError with the residual history attached if the last
-    run misses tol_solve.
+    "gradient-flow" (one flow run of at most FLOW_MAXITER steps to
+    TOL_SOLVE) or "newton" (one flow run to NEWTON_SWITCH, then one damped
+    Newton run of at most 40 steps).  The translation is fixed by symmetry
+    alone: for an even W, the grid, the odd background and the start v = 0
+    make the solution odd, centred at x = 0.  A W that is not even breaks
+    that symmetry; its solves have stalled above TOL_SOLVE, at floors that
+    fall as X grows (likely the periodic truncation; non-existence is not
+    shown), and they end in SolverError.  Raises ValueError unless X > 0 is
+    finite and N >= 4, and SolverError with the residual history attached
+    if the last run misses TOL_SOLVE.
     """
     if not -0.5 * np.pi < theta < 0.5 * np.pi:
         raise ValueError(f"theta = {theta} outside (-pi/2, pi/2)")
@@ -393,12 +397,12 @@ def solve_profile(case: str, params, potential: Optional[Potential] = None,
         return v + t * d if t else None
 
     converged = timed("flow", iterate, flow_step,
-                      NEWTON_SWITCH if method == "newton" else tol_solve,
-                      max_iter)
+                      NEWTON_SWITCH if method == "newton" else TOL_SOLVE,
+                      FLOW_MAXITER)
     if method == "newton":
-        converged = timed("newton", iterate, newton_step, tol_solve, 40)
+        converged = timed("newton", iterate, newton_step, TOL_SOLVE, 40)
     if not converged:
-        raise SolverError(f"no convergence to {tol_solve:g} (last residual "
+        raise SolverError(f"no convergence to {TOL_SOLVE:g} (last residual "
                           f"{history[-1]:.3e})", history)
 
     psi = phi + v

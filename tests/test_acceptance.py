@@ -166,7 +166,9 @@ def test_criterion_08_extension_correctness():
     # propagator identities at the slip plane
     sys_ = extension.build_halfspace("perp", ISO, 1.0, 0.5)
     e_id = float(np.max(np.abs(sys_.bplus(0.0) - np.eye(3))))
-    e_cj = max(float(np.max(np.abs(sys_.bminus(-x)
+    # reflection: the lower propagator at -x, J bplus(x) J, is conj(bplus(x))
+    J = np.diag([-1.0, 1.0, -1.0])
+    e_cj = max(float(np.max(np.abs(J @ sys_.bplus(x) @ J
                                    - np.conj(sys_.bplus(x)))))
                for x in (0.4, 1.7))
 

@@ -222,6 +222,10 @@ def test_extend_rejects_nyquist_mode(capsys):
     (["extend", "--orientation", "perp", "--n2", "16"], "--n2"),
     (["extend", "--orientation", "perp", "--L", "0"], "--L"),
     (["extend", "--orientation", "perp", "--L", "inf"], "--L"),
+    *(pytest.param(["solve", "--case", "II", "--potential", "quartic",
+                    "--scale", v, "--X", "50", "--N", "1024"],
+                   f"scale = {v} is not finite", id=f"scale-{v}")
+      for v in ("nan", "inf")),
     *(pytest.param(["extend", "--orientation", "perp", "--n", n],
                    f"sample counts ({n}, {n}) must be powers of two >= 8",
                    id=f"n-{n}") for n in ("0", "-4", "2", "12")),
@@ -233,7 +237,8 @@ def test_degenerate_inputs_rejected_before_computing(capsys, argv, msg):
     # --n2 0 divided by zero, --n2 16 left interior_residual one lower
     # sample short after the whole extension, --L 0 or inf warned; --n 0
     # divided by zero and --n -4 failed in numpy before the count check;
-    # a k near the float maximum overflows even after rescaling
+    # a k near the float maximum overflows even after rescaling; a NaN or
+    # infinite --scale ran the whole flow budget and printed NaN
     code, out, err = run(argv + ["--nu", "0.25"], capsys)
     assert code == cli.EXIT_BAD_INPUT
     assert out == ""

@@ -25,17 +25,17 @@ MATERIALS = [("perp", ISO, 0.7, -1.2), ("perp", ISO, 1.0, 0.0),
 def test_propagator_identity_at_zero(orientation, ec, k1, k2):
     sys = extension.build_halfspace(orientation, ec, k1, k2)
     assert np.max(np.abs(sys.bplus(0.0) - np.eye(3))) <= 1e-12
-    assert np.max(np.abs(sys.bminus(0.0) - np.eye(3))) <= 1e-12
 
 
 @pytest.mark.parametrize("orientation,ec,k1,k2", MATERIALS)
 def test_conjugate_reflection_identity(orientation, ec, k1, k2):
-    # the growing-mode propagator at -x equals the complex conjugate of the
-    # decaying-mode propagator at +x (real-coefficient ODE)
+    # the growing-mode propagator at -x, J bplus(x) J, equals the complex
+    # conjugate of the decaying-mode propagator at +x (real-coefficient ODE)
     sys = extension.build_halfspace(orientation, ec, k1, k2)
+    J = _jump(orientation)
     for xn in (0.4, 1.7):
-        assert np.max(np.abs(sys.bminus(-xn) - np.conj(sys.bplus(xn)))) \
-            <= 1e-12
+        assert np.max(np.abs(J @ sys.bplus(xn) @ J
+                             - np.conj(sys.bplus(xn)))) <= 1e-12
 
 
 def test_propagator_decays():
@@ -57,11 +57,10 @@ def test_propagator_decays():
 def test_propagator_array_matches_stacked_scalar(orientation, ec, k1, k2):
     sys = extension.build_halfspace(orientation, ec, k1, k2)
     xs = np.array([0.0, 0.4, 1.7, 0.1, 5.0])
-    for prop, x in ((sys.bplus, xs), (sys.bminus, -xs)):
-        arr = prop(x)
-        stacked = np.stack([prop(float(v)) for v in x])
-        assert arr.shape == (x.size, 3, 3)
-        assert np.max(np.abs(arr - stacked)) <= 1e-14
+    arr = sys.bplus(xs)
+    stacked = np.stack([sys.bplus(float(v)) for v in xs])
+    assert arr.shape == (xs.size, 3, 3)
+    assert np.max(np.abs(arr - stacked)) <= 1e-14
 
 
 # delta = C66/C44 within ~3e-3 of 1 but not 1: r1 and r2 nearly coincide,
@@ -537,13 +536,14 @@ def test_closed_form_matches_expm(orientation, ec, k1, k2):
         x_switch = np.sqrt(1e-3 / q) if q > 0 else 1.0
     xs = np.concatenate([x_switch * np.array([0.3, 0.99, 1.01, 3.0]),
                          [0.05, 0.7, 2.5]])
-    t = _t_diag(orientation)
+    t, J = _t_diag(orientation), _jump(orientation)
     D_grow = _reference_generators(orientation, ec, k1, k2)[1]
     for x in xs:
-        for B, D, xn in ((sys.bplus, sys.D_decay, x),
-                         (sys.bminus, D_grow, -x)):
+        # the lower half-space propagator at -x is J bplus(x) J
+        for B, D, xn in ((sys.bplus(x), sys.D_decay, x),
+                         (J @ sys.bplus(x) @ J, D_grow, -x)):
             ref = scipy.linalg.expm(D * xn) * (t / t[:, None])
-            assert np.max(np.abs(B(xn) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(B - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # perp nu = 0.25, delta = 1.5 and a parallel material with C11 != C33
@@ -785,3 +785,45 @@ def test_interior_residual_guards():
     fld = extension.Field3D("perp", 1.0, 1.0, xn, u, ec=ISO)
     with pytest.raises(ValueError, match="uniformly spaced"):
         extension.interior_residual(fld)
+    # 20 upper samples at one height, or in reverse order: the stencil
+    # divided by a zero or negative spacing
+    xn = 0.1 * np.arange(-20, 21)
+    for upper in (np.full(21, 0.5), xn[20:][::-1]):
+        fld = extension.Field3D("perp", 1.0, 1.0,
+                                np.concatenate([xn[:20], upper]), u, ec=ISO)
+        with pytest.raises(ValueError, match="increasing and uniformly"):
+            extension.interior_residual(fld)
+    # a NaN sample, in neither half, was left out of both
+    fld = extension.Field3D("perp", 1.0, 1.0, np.append(xn[1:], np.nan), u,
+                            ec=ISO)
+    with pytest.raises(ValueError, match="normal samples must be finite"):
+        extension.interior_residual(fld)
+
+
+def _cos_field_samples():
+    # perp, isotropic, u1 = cos(x1) on 8 x 8; 20 samples below and above
+    L = 2.0 * np.pi
+    ua = GridField2D.from_function(L, L, 8, 8, lambda x, y: np.cos(x) + 0 * y)
+    ub = ua.like(np.zeros((8, 8)))
+    return ua, ub, np.concatenate([-0.1 * np.arange(20, 0, -1),
+                                   0.1 * np.arange(20)])
+
+
+def test_extend_rejects_non_finite_normal_samples():
+    ua, ub, xn = _cos_field_samples()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="normal samples must be finite"):
+            extension.extend("perp", ISO, ua, ub, np.append(xn, bad))
+
+
+@pytest.mark.parametrize("row", [5, 30])
+def test_interior_residual_is_nan_for_non_finite_values(row):
+    # one non-finite sample in either half: the result is nan, never the
+    # other half's residual
+    ua, ub, xn = _cos_field_samples()
+    fld = extension.extend("perp", ISO, ua, ub, xn)
+    assert extension.interior_residual(fld) <= 1e-9
+    u = fld.u.copy()
+    u[0, row, 3, 3] = np.nan
+    bad = extension.Field3D("perp", fld.L1, fld.L2, fld.x_normal, u, ec=ISO)
+    assert np.isnan(extension.interior_residual(bad))

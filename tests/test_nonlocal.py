@@ -32,6 +32,11 @@ def test_grid_validation():
         GridField2D(L, L, np.zeros((4, 4)))        # too small
     with pytest.raises(ValueError):
         GridField2D(-1.0, L, np.zeros((16, 16)))
+    # an infinite cell has k = -0 on every row; a NaN one fails no '>'
+    for bad in (np.inf, -np.inf, np.nan):
+        for lengths in ((bad, L), (L, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                GridField2D(*lengths, np.zeros((16, 16)))
     with pytest.raises(ValueError):
         GridField2D(L, L, np.full((16, 16), np.nan))
     with pytest.raises(ValueError, match="values must be a 2-d array"):

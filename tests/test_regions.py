@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pndislo import kernels, moduli, regions
 from pndislo.moduli import from_isotropic, perp_from_parameters
@@ -93,6 +95,21 @@ def test_rtilde_brackets_exact_sign_change(q):
 
     step = 64 * Fraction(math.ulp(x))
     assert f(Fraction(x) - step) * f(Fraction(x) + step) <= 0
+
+
+@given(q=st.floats(0.5, 1.0 - 1e-9, exclude_min=True),
+       frac=st.floats(0.0, 1.0, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+def test_case2_third_condition_is_the_rtilde_boundary(q, frac):
+    # on the branch p <= 3q/4, q in (1/2, 1), the third membership condition
+    # e3 > 0 is p > r~(q): criterion 09's root is that boundary.  Cells
+    # within rounding of p = r~ are skipped; for 1 - q near 1e-13 and below
+    # r~ itself loses its root (it vanishes with 1 - q), hence the bound
+    p = frac * 0.75 * q
+    r = regions.smallest_positive_root_rtilde(q)
+    assume(abs(p - r) > 1e-6 * r)
+    e3 = regions._case2_conditions(p, q)[2]
+    assert (e3 > 0.0) == (p > r)
 
 
 def test_rtilde_domain():

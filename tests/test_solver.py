@@ -36,6 +36,23 @@ def test_potential_well_conditions_enforced():
                          lambda u: -6 * u * (1 - u * u) ** 2,
                          lambda u: -6 * (1 - u * u) ** 2
                          + 24 * u * u * (1 - u * u))
+    # each condition fails on NaN, not only on a wrong value
+    ok = solver.Potential.quartic(1.0)
+    nan = lambda u: np.nan * np.asarray(u)  # noqa: E731
+    for w, dw, d2w in ((nan, ok.dw, ok.d2w), (ok.w, nan, ok.d2w),
+                       (ok.w, ok.dw, nan),
+                       (lambda u: np.where(np.abs(u) < 1, np.nan, 0.0),
+                        ok.dw, ok.d2w)):
+        with pytest.raises(ValueError):
+            solver.Potential("nan", 1.0, w, dw, d2w)
+
+
+@pytest.mark.parametrize("ctor", [solver.Potential.quartic,
+                                  solver.Potential.cosine])
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_potential_rejects_non_finite_scale(ctor, scale):
+    with pytest.raises(ValueError, match="is not finite"):
+        ctor(scale)
 
 
 def test_potential_well_slope_enforced():
@@ -184,7 +201,7 @@ def test_even_w_profile_centred_at_zero(case, theta, kind, method):
 @pytest.mark.parametrize("method", ["newton", "gradient-flow"])
 def test_non_even_potential_not_converged(method):
     # the solve has no translation pin but the x -> -x symmetry: a W that is
-    # not even stalls above tol_solve (4e-6 to 4e-5 here, lower at larger X).
+    # not even stalls above TOL_SOLVE (4e-6 to 4e-5 here, lower at larger X).
     # W = (s/4)(1 - u^2)^2 (1 + a u) with s = 2, a = 0.3: W''(+-1) = 2s(1 +- a)
     s, a = 2.0, 0.3
     pot = solver.Potential(
@@ -217,13 +234,14 @@ def test_flow_steps_do_not_grow_with_n():
     assert 0 < steps[8192] <= 1.5 * steps[1024]
 
 
-def test_stiff_gradient_flow_agrees_with_newton():
+def test_stiff_gradient_flow_agrees_with_newton(monkeypatch):
     # W = 20 m(e) (1 - u^2)^2 / 4 on a fine grid: the flow step is set by
-    # max|W''|/m alone, so 150 steps per pass reach 1e-10
+    # max|W''|/m alone, so 150 flow steps reach 1e-10
     pot = solver.Potential.quartic(20.0 * 2.0)     # m(e) = 2
     a = solver.solve_profile("II", DP, potential=pot, X=25.0, N=8192)
+    monkeypatch.setattr(solver, "FLOW_MAXITER", 150)
     b = solver.solve_profile("II", DP, potential=pot, X=25.0, N=8192,
-                             method="gradient-flow", max_iter=150)
+                             method="gradient-flow")
     assert b.residual <= 1e-10
     assert np.max(np.abs(a.psi - b.psi)) <= 1e-7
 
@@ -395,7 +413,7 @@ def test_minres_matches_dense_solve():
 
 def test_newton_budget_exhausted(monkeypatch):
     # a fiftieth of each step: accepted at t = 1, but the 40 steps of the
-    # Newton run do not reach tol_solve; it records 40 residuals and the
+    # Newton run do not reach TOL_SOLVE; it records 40 residuals and the
     # final one
     ref, _ = _counted_newton(monkeypatch)
     exc, n = _counted_newton(monkeypatch, scale=0.02)
@@ -426,12 +444,13 @@ def test_case3_profile():
     assert sol.in_region is True
 
 
-def test_solver_error_carries_history():
+def test_solver_error_carries_history(monkeypatch):
+    # a flow budget of 3 steps: 3 residuals and the final one
+    monkeypatch.setattr(solver, "FLOW_MAXITER", 3)
     with pytest.raises(solver.SolverError) as exc:
         solver.solve_profile("II", DP, potential=solver.Potential.quartic(),
-                             X=50.0, N=1024, method="gradient-flow",
-                             max_iter=3, tol_solve=1e-12)
-    assert len(exc.value.history) > 0
+                             X=50.0, N=1024, method="gradient-flow")
+    assert len(exc.value.history) == 4
 
 
 def test_solver_input_validation():
