@@ -29,6 +29,11 @@ for several radii from one kernel sampling.  The kernel is sampled on the
 quadrant of grid offsets by `KernelForm.on_grid`, and its spectrum, real
 because K is even in each coordinate, is built from that quadrant by two
 real transforms of even extensions (`_kernel_spectrum`).
+
+Buffers: each convolution allocates one complex half spectrum and, on
+numpy >= 2.0 (`np.fft`'s `out=`), transforms it in place along axis 0;
+older numpy allocates each transform, with the same numbers.  Each
+`localized_energies` call forms its convolved fields in one real work array.
 """
 
 from __future__ import annotations
@@ -63,15 +68,22 @@ def wavenumbers(L1: float, L2: float, n1: int, n2: int):
     return np.meshgrid(k1, k2, indexing="ij")
 
 
+#: Whether `np.fft` takes `out=` (numpy >= 2.0), for in-place transforms.
+_FFT_OUT = int(np.__version__.split(".")[0]) >= 2
+
+
 def _apply(m: np.ndarray, u: np.ndarray,
            rows: slice = slice(None)) -> np.ndarray:
     """The even multiplier m, on the half spectrum, applied to real u, on
-    the rows `rows` of the result: `irfft2` written out, the inverse
-    transform along axis 0 and then along axis 1 on those rows only."""
-    z = np.fft.rfft2(u)
+    the rows `rows` of the result: `rfft2` and `irfft2` written out, the
+    inverse transform along axis 0 and then along axis 1 on those rows only.
+    With `_FFT_OUT` the axis-0 transforms overwrite the half spectrum z."""
+    z = np.fft.rfft(u, axis=1)
+    out = {"out": z} if _FFT_OUT else {}
+    z = np.fft.fft(z, axis=0, **out)
     z *= m
-    z = np.fft.ifft(z, axis=0)[rows]
-    return np.fft.irfft(z, n=u.shape[1], axis=1)
+    z = np.fft.ifft(z, axis=0, **out)
+    return np.fft.irfft(z[rows], n=u.shape[1], axis=1)
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -195,8 +207,8 @@ def aniso_half_laplacian(rho: float, field: GridField2D,
     rho^(-1/2) (y1^2 + y2^2/rho)^(-3/2) with the -(1/4 pi) prefactor, over
     the whole plane: exact in r, midpoint rule in the direction.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got rho = {rho}")
     if mode == "symbol":
         return apply_multiplier(lambda k1, k2: np.sqrt(k1 ** 2 + rho * k2 ** 2),
                                 field)
@@ -294,17 +306,18 @@ def localized_energies(field: GridField2D, kf: KernelForm,
     # S = kappa0 u^2 - u K*((2 - chi) u) + K*((1 - chi) u^2), formed on B_R
     # only, within the box of the rows and columns that meet it.
     reports = []
+    w = np.empty_like(u)
     for R in radii:
         rows, cols = (_span(x * x <= R * R) for x in (x1, x2))
         inside = x1[rows, None] ** 2 + x2[None, cols] ** 2 <= R * R
         ui = u[rows, cols][inside]
-        a = u + u                           # (2 - chi) u
-        a[rows, cols][inside] = ui
-        b = u * u                           # (1 - chi) u^2
-        b[rows, cols][inside] = 0.0
         S = kappa0 * ui * ui
-        S -= ui * _apply(Kh, a, rows)[:, cols][inside]
-        S += _apply(Kh, b, rows)[:, cols][inside]
+        np.add(u, u, out=w)                 # (2 - chi) u
+        w[rows, cols][inside] = ui
+        S -= ui * _apply(Kh, w, rows)[:, cols][inside]
+        np.multiply(u, u, out=w)            # (1 - chi) u^2
+        w[rows, cols][inside] = 0.0
+        S += _apply(Kh, w, rows)[:, cols][inside]
         nl = 2.0 * float(np.sum(S)) * dA / (8.0 * np.pi)
         pot = float(np.sum(potential(ui))) * dA if potential else 0.0
         reports.append(EnergyReport(nl, pot, nl + pot, R))

@@ -55,7 +55,7 @@ def smallest_positive_root_rtilde(q: float):
                       q * q * (13.0 + 14.0 * q - 11.0 * q * q),
                       8.0 * (-1.0 + q) * q ** 3])
     real = [r.real for r in roots
-            if abs(r.imag) <= 1e-9 * (1.0 + abs(r)) and r.real > 1e-14]
+            if abs(r.imag) <= 1e-9 * (1.0 + abs(r)) and r.real > 0.0]
     return float(min(real)) if real else None
 
 

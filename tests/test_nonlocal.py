@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,9 +184,15 @@ def test_half_laplacian_modes_match():
     err = np.max(np.abs(a.values - b.values)) / np.max(np.abs(a.values))
     assert err <= 1e-4
     with pytest.raises(ValueError):
-        aniso_half_laplacian(-1.0, f)
-    with pytest.raises(ValueError):
         aniso_half_laplacian(1.0, f, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["symbol", "integral"])
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_half_laplacian_rejects_rho_outside_0_inf(rho, mode):
+    # rejected before any transform, in both modes
+    with pytest.raises(ValueError, match="rho"):
+        aniso_half_laplacian(rho, bump(), mode=mode)
 
 
 def test_whole_cell_energy_single_mode():
@@ -361,3 +369,44 @@ def test_quadrature_invariant_under_constant_shift(c):
     a = apply_kernel_quadrature(kf, f).values
     b = apply_kernel_quadrature(kf, g).values
     assert b == pytest.approx(a, abs=1e-12)
+
+
+_NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+
+
+@pytest.mark.parametrize("in_place", [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not _NUMPY_2, reason="np.fft takes out= from numpy 2.0"))],
+    ids=["allocating", "in_place"])
+@pytest.mark.parametrize("shape", [(64, 64), (128, 32), (32, 256),
+                                   (1024, 1024)])
+def test_apply_is_bitwise_rfft2_irfft2(shape, in_place, monkeypatch):
+    # _apply is rfft2 and irfft2 written out, on either transform path
+    monkeypatch.setattr(nonlocal_ops, "_FFT_OUT", in_place)
+    rng = np.random.default_rng(3)
+    n1, n2 = shape
+    u = rng.standard_normal(shape)
+    u0 = u.copy()
+    m = rng.standard_normal((n1, n2 // 2 + 1))
+    full = np.fft.irfft2(m * np.fft.rfft2(u), s=shape)
+    for rows in (slice(None), slice(1, n1 // 3), slice(n1 // 2, n1 - 2)):
+        assert np.array_equal(nonlocal_ops._apply(m, u, rows), full[rows])
+        assert np.array_equal(u, u0)
+
+
+@pytest.mark.skipif(not _NUMPY_2, reason="np.fft takes out= from numpy 2.0")
+def test_localized_energy_memory_peak():
+    # one complex half spectrum (about one field size) and one real work
+    # array per call, next to the field and the real kernel spectrum
+    rng = np.random.default_rng(9)
+    f = GridField2D(64.0, 64.0, rng.standard_normal((256, 256)))
+    kf = kernels.kernel_isotropic(1.0, 0.75)
+    energy(f, kf=kf, R=8.0)                  # warm any lazy allocations
+    tracemalloc.start()
+    try:
+        energy(f, kf=kf, R=8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * f.values.nbytes

@@ -66,6 +66,17 @@ def test_rtilde_vanishes_toward_one():
     assert regions.smallest_positive_root_rtilde(0.9999) <= 1e-4
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-12, 5e-14, 2e-14, 1e-14,
+                                 5e-15, 2e-15, 1.1e-16])
+def test_rtilde_keeps_its_root_as_q_tends_to_one(eps):
+    # r~(q) = (1 - q)/2 (1 + O(1 - q)): the root stays found, and is not
+    # replaced by the next one near 1, however small it gets
+    q = 1.0 - eps
+    x = regions.smallest_positive_root_rtilde(q)
+    assert x is not None
+    assert abs(x / (0.5 * (1.0 - q)) - 1.0) <= 1e-4 + eps
+
+
 def _rtilde_coeffs(q):
     return [-8.0 * (-1.0 + q),
             (-11.0 + 14.0 * q + 13.0 * q * q),
