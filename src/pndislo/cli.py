@@ -274,22 +274,19 @@ def _cmd_extend(args):
 
 def _pair_sum_energy(field, kf, R):
     """The nonlocal part of E(u; B_R) as the direct sum of
-    (u(x)-u(y))^2 K(x-y) dA^2 / (8 pi) over the grid pairs not both outside
-    B_R, at min-image offsets within the half-cell disc, origin excluded."""
+    -(u(x)-u(y))^2 l(x-y) dA / 4 over the grid pairs not both outside B_R,
+    l = irfft2 of the quadrature multiplier at every periodic offset."""
+    from .nonlocal_ops import quadrature_multiplier
     n1, n2 = field.shape
-    h1, h2 = field.L1 / n1, field.L2 / n2
+    ell = np.fft.irfft2(quadrature_multiplier(kf, field), s=field.shape)
     x1, x2 = field.axes()
     inside = (x1[:, None] ** 2 + x2 ** 2 <= R * R).ravel()
     i1, i2 = np.indices((n1, n2)).reshape(2, -1)
-    y1 = ((i1[:, None] - i1 + n1 // 2) % n1 - n1 // 2) * h1
-    y2 = ((i2[:, None] - i2 + n2 // 2) % n2 - n2 // 2) * h2
-    r = np.hypot(y1, y2)
-    pair = ((r > 0.0) & (r <= 0.5 * min(field.L1, field.L2))
-            & (inside[:, None] | inside))
+    pair = inside[:, None] | inside
     u = field.values.ravel()
-    du2 = (u[:, None] - u)[pair] ** 2
-    return float(np.sum(du2 * kf(y1[pair], y2[pair]))) * (h1 * h2) ** 2 \
-        / (8.0 * np.pi)
+    terms = (u[:, None] - u) ** 2 * ell[(i1[:, None] - i1) % n1,
+                                        (i2[:, None] - i2) % n2]
+    return -0.25 * float(np.sum(terms[pair])) * field.L1 / n1 * field.L2 / n2
 
 
 def _cmd_verify(args):

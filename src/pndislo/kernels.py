@@ -100,50 +100,6 @@ class KernelForm:
             out += t(x1, x3)
         return out
 
-    def on_grid(self, x1, x3):
-        """K at every (x1[i], x3[j]) of two 1-D coordinate arrays, shape
-        (len(x1), len(x3)); 0 at the origin, which sums over grid offsets
-        exclude.
-
-        A term's N and P are power-table products (V1 diag c) V3^T with
-        V1[:, i] = x1^(2(n-1-i)) and V3[:, i] = x3^(2i), and s N/R^rp is
-        one power and one divide, R = x1^2 + w x3^2; terms sharing P add
-        up before one divide by P^3.  Agrees with `__call__` to rounding.
-        """
-        s1 = np.asarray(x1, dtype=float) ** 2
-        s3 = np.asarray(x3, dtype=float) ** 2
-        origin = np.ix_(s1 == 0.0, s3 == 0.0)
-
-        def poly(coeffs, scale=1.0):
-            n = len(coeffs)
-            return (np.vander(s1, n) * (scale * np.array(coeffs))
-                    @ np.vander(s3, n, increasing=True).T)
-
-        sums = {}
-        for t in self.terms:
-            rad = s1[:, None] + t.radial_weight * s3
-            rad[origin] = np.inf                # so that N/R^rp is 0 there
-            rad **= t.radial_power
-            part = poly(t.num_coeffs, t.prefactor)
-            part /= rad
-            # terms that share P add before the divide, for accuracy: below
-            # nu = -1 the case-I pair cancels next to the zero of P, and one
-            # divide per term moves samples at (nu, delta) = (-1.2, 0.6) by
-            # up to 4.8e-2 relative (257 x 129 quadrant, spacings 0.125 and
-            # 0.25), twice the error of the sum against longdouble
-            if t.den_coeffs in sums:
-                sums[t.den_coeffs] += part
-            else:
-                sums[t.den_coeffs] = part
-        out = None
-        for den_coeffs, part in sums.items():
-            cube = poly(den_coeffs)
-            cube[origin] = 1.0
-            cube *= cube * cube
-            part /= cube
-            out = part if out is None else out + part
-        return out
-
 
 # ---------------------------------------------------------------------------
 # coefficient tables

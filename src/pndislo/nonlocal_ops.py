@@ -24,11 +24,9 @@ Three ways of applying the slip-plane operator L:
 Fields are real and multipliers even, so every transform is on the rfft2
 half spectrum (`kgrid`, k2 >= 0).  `energy` computes the whole-cell energy
 by Plancherel and the localized energy E(u; B_R) (double integral
-excluding B_R^c x B_R^c) by FFT convolutions; `localized_energies` does so
-for several radii from one kernel sampling.  The kernel is sampled on the
-quadrant of grid offsets by `KernelForm.on_grid`, and its spectrum, real
-because K is even in each coordinate, is built from that quadrant by two
-real transforms of even extensions (`_kernel_spectrum`).
+excluding B_R^c x B_R^c) by FFT convolutions with the quadrature multiplier,
+the operator of `apply_kernel_quadrature`; `localized_energies` does so for
+several radii from one multiplier.  No kernel is sampled on the grid.
 
 Buffers: each convolution allocates one complex half spectrum and, on
 numpy >= 2.0 (`np.fft`'s `out=`), transforms it in place along axis 0;
@@ -43,16 +41,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import KernelForm
-
 #: Midpoint directions on [0, pi) in the kernel quadrature.
 N_THETA = 128
 
 
 def _check_counts(n1: int, n2: int):
-    if not all(n >= 8 and (n & (n - 1)) == 0 for n in (n1, n2)):
+    if not all(isinstance(n, (int, np.integer)) and n >= 8
+               and (n & (n - 1)) == 0 for n in (n1, n2)):
         raise ValueError(f"sample counts ({n1}, {n2}) must be powers of "
-                         "two >= 8")
+                         "two >= 8, as integers")
 
 
 def cell_axes(L1: float, L2: float, n1: int, n2: int):
@@ -219,30 +216,8 @@ def aniso_half_laplacian(rho: float, field: GridField2D,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _kernel_spectrum(kf: KernelForm, field: GridField2D,
-                     r_window: float) -> np.ndarray:
-    """dA times the half spectrum of K sampled at the min-image grid offsets
-    within |y| <= r_window, origin 0: real, as K is even in each coordinate.
-
-    K is sampled on the quadrant of offsets (0..n1/2) h1 x (0..n2/2) h2 by
-    `KernelForm.on_grid`.  Along each axis the min-image samples are the
-    even extension of the quadrant (offset n - i repeats offset i), whose
-    rfft is real; the axis-0 one, even in k1, is mirrored into k1 < 0.
-    """
-    n1, n2 = field.shape
-    y1 = np.arange(n1 // 2 + 1) * (field.L1 / n1)
-    y2 = np.arange(n2 // 2 + 1) * (field.L2 / n2)
-    K = kf.on_grid(y1, y2)
-    K[np.hypot(y1[:, None], y2) > r_window] = 0.0
-    K = np.fft.rfft(np.concatenate((K, K[:, -2:0:-1]), axis=1), axis=1).real
-    K = np.fft.rfft(np.concatenate((K, K[-2:0:-1]), axis=0), axis=0).real
-    Kh = np.concatenate((K, K[-2:0:-1]), axis=0)
-    Kh *= field.L1 / n1 * (field.L2 / n2)
-    return Kh
-
-
 def energy(field: GridField2D, potential: Optional[Callable] = None,
-           symbol: Optional[Callable] = None, kf: Optional[KernelForm] = None,
+           symbol: Optional[Callable] = None, kf: Optional[Callable] = None,
            R: Optional[float] = None) -> EnergyReport:
     """Nonlocal + potential energy of a periodic field.
 
@@ -252,7 +227,7 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     double integral of |u(x)-u(y)|^2 K(x-y) by Plancherel.  The sum runs
     over the half spectrum, where columns 1 .. n2/2 - 1 stand for k and -k.
 
-    Localized (needs `kf`, a KernelForm): `localized_energies` at the one
+    Localized (needs the kernel `kf`): `localized_energies` at the one
     radius R.
     """
     if R is not None:
@@ -269,18 +244,30 @@ def energy(field: GridField2D, potential: Optional[Callable] = None,
     return EnergyReport(nl, pot, nl + pot, None)
 
 
-def localized_energies(field: GridField2D, kf: KernelForm,
+def localized_energies(field: GridField2D, kf: Callable,
                        radii: Sequence[float],
                        potential: Optional[Callable] = None
                        ) -> list[EnergyReport]:
     """Localized energies E(u; B_R), one report per radius R in `radii`.
 
     E(u; B_R) is the double integral of |u(x)-u(y)|^2 K(x-y) over all pairs
-    except B_R^c x B_R^c, with the 1/(8 pi) normalization of `energy`,
-    evaluated by FFT convolutions against the min-image sampled kernel
-    (origin cell excluded), plus int_{B_R} W(u).  K is sampled and
-    transformed once (`_kernel_spectrum`); each R in (0, min(L1, L2)/2]
-    takes two convolutions, inverse-transformed on the rows that meet B_R.
+    except B_R^c x B_R^c, with the 1/(8 pi) normalization of `energy`, plus
+    int_{B_R} W(u).  L is `apply_kernel_quadrature`'s, so `kf` is any even,
+    (-3)-homogeneous kernel: its multiplier m is built once, and each R in
+    (0, min(L1, L2)/2] takes two convolutions, inverse-transformed on the
+    rows that meet B_R.  With chi the indicator of B_R,
+
+        E_nl(B_R) = (1/2) dA sum_{B_R} [u L((2 - chi) u) - L((1 - chi) u^2)],
+
+    the pair sum of -(u(x)-u(y))^2 l(x-y) dA / 4 with l = irfft2(m), the
+    grid kernel, at every periodic offset; for chi = 1 it is (1/2) <u, L u>.
+
+    l is not negative at every offset off the origin: Nyquist ripple leaves
+    up to about a third of its entries positive on fine grids, the largest
+    about a tenth of the largest |l| there.  So a field of single-point
+    spikes can read a negative E(B_R), or one that falls as R grows.  Fields
+    resolved on the grid, such as band-limited ones, read it positive and
+    nondecreasing in R.
     """
     half = 0.5 * min(field.L1, field.L2)
     for R in radii:
@@ -288,37 +275,34 @@ def localized_energies(field: GridField2D, kf: KernelForm,
             raise ValueError(f"R = {R} outside (0, min(L1, L2)/2]")
     if kf is None:
         raise ValueError("localized energy needs a kernel")
-    if not isinstance(kf, KernelForm):
-        raise TypeError("localized energy needs a KernelForm, got "
-                        f"{type(kf).__name__}")
 
     n1, n2 = field.shape
     dA = field.L1 / n1 * (field.L2 / n2)
-    Kh = _kernel_spectrum(kf, field, half)
-    kappa0 = float(Kh[0, 0])                # dA sum K, the zero mode
+    m = quadrature_multiplier(kf, field)
     x1, x2 = field.axes()
     u = field.values
     # Pairs with x in B_R: y in B_R counts once, y outside twice (the pair
     # also enters as (y, x)), so the double integral is the sum over x in B_R
     # of int w(y) (u(x)-u(y))^2 K(x-y) dy with w = 2 - chi.  Expanding the
     # square, its u(x)^2 (K*w)(x) term holds sum chi u^2 (K*chi), which is
-    # sum chi K*(chi u^2) by K(-y) = K(y); what is left is 2 S(x) below,
-    # S = kappa0 u^2 - u K*((2 - chi) u) + K*((1 - chi) u^2), formed on B_R
-    # only, within the box of the rows and columns that meet it.
+    # sum chi K*(chi u^2) by K(-y) = K(y); what is left, over x in B_R, is
+    # 2 (kappa0 u^2 - u K*((2 - chi) u) + K*((1 - chi) u^2)) with kappa0 the
+    # integral of K.  By K*f = kappa0 f - 2 pi L f the kappa0 terms cancel
+    # there, which leaves 4 pi S with S = u L((2 - chi) u) - L((1 - chi) u^2),
+    # formed on B_R only, within the box of the rows and columns that meet it.
     reports = []
     w = np.empty_like(u)
     for R in radii:
         rows, cols = (_span(x * x <= R * R) for x in (x1, x2))
         inside = x1[rows, None] ** 2 + x2[None, cols] ** 2 <= R * R
         ui = u[rows, cols][inside]
-        S = kappa0 * ui * ui
         np.add(u, u, out=w)                 # (2 - chi) u
         w[rows, cols][inside] = ui
-        S -= ui * _apply(Kh, w, rows)[:, cols][inside]
+        S = ui * _apply(m, w, rows)[:, cols][inside]
         np.multiply(u, u, out=w)            # (1 - chi) u^2
         w[rows, cols][inside] = 0.0
-        S += _apply(Kh, w, rows)[:, cols][inside]
-        nl = 2.0 * float(np.sum(S)) * dA / (8.0 * np.pi)
+        S -= _apply(m, w, rows)[:, cols][inside]
+        nl = 0.5 * float(np.sum(S)) * dA
         pot = float(np.sum(potential(ui))) * dA if potential else 0.0
         reports.append(EnergyReport(nl, pot, nl + pot, R))
     return reports

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pndislo import kernels, regions
-from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
-                            from_isotropic, perp_from_parameters)
+from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
+                            perp_from_parameters)
 
 ISO = from_isotropic(1.0, 0.25)
 DP_ISO = derive_perp(ISO)
@@ -330,35 +330,3 @@ def test_circle_min_rejects_a_lone_case1_term_with_a_pole():
     # above nu = -1 the parts have no zero of P and keep their minimum
     for part in kernels.kernel_case1_parts(DP_ANISO):
         assert np.isfinite(kernels.circle_min(part)[1])
-
-
-def _grid_forms():
-    below = perp_from_parameters(1.0, -1.2, 0.6)
-    k1, k2 = kernels.kernel_case1_parts(DP_ANISO)
-    return {"I": kernels.kernel_case1(DP_ANISO), "I_K1": k1, "I_K2": k2,
-            "I_below": kernels.kernel_case1(below),
-            "II": kernels.kernel_case2(perp_from_parameters(1.0, 0.05, 0.1)),
-            "III": kernels.kernel_case3(derive_parallel(
-                ElasticConstants(3.0, 1.0, 2.5, 1.2, 0.8))),
-            "iso": kernels.kernel_isotropic(1.0, 0.75)}
-
-
-@pytest.mark.parametrize("name", list(_grid_forms()))
-def test_on_grid_matches_pointwise(name):
-    # a non-square grid with unequal spacings, origin included (reads 0).
-    # For nu < -1 the points within 0.3 rad of a zero of P are left out:
-    # both evaluations cancel there, and at (-1.2, 0.6) they part by up to
-    # 1.4e-8 relative 3.4e-3 rad from the zero, 8e-13 at 0.1 rad
-    kf = _grid_forms()[name]
-    x1 = np.arange(17) * 0.37
-    x3 = np.arange(9) * 1.1
-    grid = kf.on_grid(x1, x3)
-    assert grid.shape == (17, 9) and grid[0, 0] == 0.0
-    X1, X3 = np.meshgrid(x1, x3, indexing="ij")
-    keep = (X1 > 0.0) | (X3 > 0.0)
-    for z in kernels._p_zeros(kf):
-        keep &= np.abs(np.arctan2(X3, X1) - z) > 0.3
-    ref = kf(X1[keep], X3[keep])
-    # K1 vanishes on the x3 axis: there the gap is absolute
-    assert np.all(np.abs(grid[keep] - ref)
-                  <= 1e-13 * np.abs(ref) + 1e-16 * np.max(np.abs(ref)))

@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pndislo import kernels, nonlocal_ops, symbols
-from pndislo.moduli import (derive_parallel, derive_perp, from_isotropic,
-                            perp_from_parameters)
+from pndislo import kernels, nonlocal_ops, regions, symbols
+from pndislo.moduli import (ElasticConstants, derive_parallel, derive_perp,
+                            from_isotropic, perp_from_parameters)
 from pndislo.nonlocal_ops import (N_THETA, GridField2D, aniso_half_laplacian,
                                   apply_kernel_quadrature, apply_multiplier,
                                   energy, localized_energies,
@@ -52,6 +52,12 @@ def test_grid_validation():
     with pytest.raises(ValueError, match=r"sample counts \(0, 8\) must be "
                        "powers of two >= 8"):
         GridField2D.from_function(1, 1, 0, 8, f)
+    # a float count is named, not failed on by n & (n - 1)
+    for n in (16.0, 16.5):
+        with pytest.raises(ValueError, match=rf"sample counts \(10, {n}\)"):
+            GridField2D.from_function(10, 10, 10, n, f)
+        with pytest.raises(ValueError, match=rf"sample counts \({n}, 16\)"):
+            GridField2D.from_function(10, 10, n, 16, f)
 
 
 def test_axes_and_kgrid_layout():
@@ -256,25 +262,22 @@ def test_localized_energy_monotone_in_radius():
 
 
 def _localized_energy_reference(field, kf, R):
-    """(1/8 pi) sum of (u(x)-u(y))^2 K(x-y) dA^2 over every grid pair not
-    both outside B_R: min-image offsets y, origin excluded, and |y| within
-    the half-cell disc of the sampled kernel."""
+    """-(1/4) sum of (u(x)-u(y))^2 l(x-y) dA over every grid pair not both
+    outside B_R, with l = irfft2 of the quadrature multiplier, the grid
+    kernel of L, at every periodic offset."""
     n1, n2 = field.shape
-    h1, h2 = field.L1 / n1, field.L2 / n2
+    ell = np.fft.irfft2(quadrature_multiplier(kf, field), s=field.shape)
     x1, x2 = field.axes()
     inside = ((x1[:, None] ** 2 + x2[None, :] ** 2) <= R * R).ravel()
     i1, i2 = (a.ravel() for a in np.meshgrid(np.arange(n1), np.arange(n2),
                                              indexing="ij"))
-    d1 = (i1[:, None] - i1[None, :] + n1 // 2) % n1 - n1 // 2
-    d2 = (i2[:, None] - i2[None, :] + n2 // 2) % n2 - n2 // 2
-    y1, y2 = d1 * h1, d2 * h2
-    r = np.hypot(y1, y2)
-    pair = ((r > 0.0) & (r <= 0.5 * min(field.L1, field.L2))
-            & (inside[:, None] | inside[None, :]))
+    d1 = (i1[:, None] - i1[None, :]) % n1
+    d2 = (i2[:, None] - i2[None, :]) % n2
+    pair = inside[:, None] | inside[None, :]
     u = field.values.ravel()
     du2 = (u[:, None] - u[None, :]) ** 2
-    total = float(np.sum(du2[pair] * kf(y1[pair], y2[pair])))
-    return total * (h1 * h2) ** 2 / (8.0 * np.pi)
+    total = float(np.sum(du2[pair] * ell[d1[pair], d2[pair]]))
+    return -0.25 * total * (field.L1 / n1) * (field.L2 / n2)
 
 
 @pytest.mark.parametrize("kf", [kernels.kernel_isotropic(1.0, 0.75),
@@ -283,7 +286,7 @@ def _localized_energy_reference(field, kf, R):
 @pytest.mark.parametrize("R", [5.0, 12.0])
 def test_localized_energy_matches_pair_sum(kf, R):
     rng = np.random.default_rng(11)
-    # n1 != n2 checks the quadrant mirror of the sampled kernel per axis
+    # n1 != n2 and h1 != h2: the offsets wrap per axis
     for shape in ((16, 16), (16, 32)):
         f = GridField2D(30.0, 24.0, rng.standard_normal(shape))
         rep = energy(f, kf=kf, R=R)
@@ -327,36 +330,86 @@ def test_localized_energy_validation():
         energy(f, R=3.0)       # kernel missing
     with pytest.raises(ValueError):
         energy(f)              # symbol missing
-    # the kernel is sampled on the grid by KernelForm.on_grid: a bare
-    # callable is rejected
+
+
+def test_localized_energy_takes_a_bare_kernel_callable():
+    # the kernel is read at the quadrature's directions only, as by
+    # apply_kernel_quadrature: any even, (-3)-homogeneous callable will do
     iso = kernels.kernel_isotropic(1.0, 0.75)
-    with pytest.raises(TypeError, match="KernelForm"):
-        energy(f, kf=lambda z1, z2: iso(z1, z2), R=3.0)
+    f = bump()
+    radii = (3.0, 9.0)
+    assert (localized_energies(f, lambda z1, z2: iso(z1, z2), radii,
+                               _quartic)
+            == localized_energies(f, iso, radii, _quartic))
+
+
+@pytest.mark.parametrize("L_cell", [20.0, 40.0])
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_localized_energy_of_a_bump_in_the_ball_is_the_whole_cell_energy(
+        L_cell, n):
+    # the bump is below 5e-11 outside B_8, so E(B_8) is the whole-cell
+    # energy of the symbol up to the quadrature's angular error, at every h
+    f = GridField2D.from_function(
+        L_cell, L_cell, n, n,
+        lambda x, y: np.exp(-((x - 1.0) ** 2 + 0.5 * (y + 0.5) ** 2)))
+    whole = energy(f, symbol=lambda a, b: symbols.symbol_case2(DP, a, b))
+    ball = energy(f, kf=kernels.kernel_case2(DP), R=8.0)
+    assert ball.nonlocal_part == pytest.approx(whole.nonlocal_part, rel=5e-5)
 
 
 @pytest.mark.parametrize("kf", [kernels.kernel_case1(DP_ANISO),
                                 kernels.kernel_case2(DP),
                                 kernels.kernel_case3(DPAR)],
                          ids=["case1", "case2", "case3"])
-@pytest.mark.parametrize("cell", [(30.0, 24.0, 16, 32), (20.0, 50.0, 64, 16)],
-                         ids=["wide", "tall"])
-def test_kernel_spectrum_is_rfft2_of_the_mirrored_kernel(kf, cell):
-    # the real spectrum built on the quadrant against the complex rfft2 of
-    # K at every min-image offset, evaluated pointwise
-    L1, L2, n1, n2 = cell
-    f = GridField2D(L1, L2, np.zeros((n1, n2)))
-    half = 0.5 * min(L1, L2)
-    d1 = (np.arange(n1) + n1 // 2) % n1 - n1 // 2
-    d2 = (np.arange(n2) + n2 // 2) % n2 - n2 // 2
-    y1, y2 = np.meshgrid(d1 * (L1 / n1), d2 * (L2 / n2), indexing="ij")
-    off = (y1 != 0.0) | (y2 != 0.0)
-    K = np.zeros((n1, n2))
-    K[off] = kf(y1[off], y2[off])
-    K[np.hypot(y1, y2) > half] = 0.0
-    ref = np.fft.rfft2(K) * (L1 / n1 * (L2 / n2))
-    Kh = nonlocal_ops._kernel_spectrum(kf, f, half)
-    assert Kh.dtype == float and Kh.shape == ref.shape
-    assert np.max(np.abs(Kh - ref)) <= 1e-14 * np.max(np.abs(ref))
+def test_localized_energy_of_a_field_zero_outside_the_ball(kf):
+    # (2 - chi) u = u and (1 - chi) u^2 = 0: E(B_R) is (1/2) <u, L u> with
+    # apply_kernel_quadrature's L
+    rng = np.random.default_rng(7)
+    n1, n2, R = 64, 32, 9.0
+    f = GridField2D(30.0, 24.0, rng.standard_normal((n1, n2)))
+    x1, x2 = f.axes()
+    f = f.like(np.where(x1[:, None] ** 2 + x2 ** 2 <= R * R, f.values, 0.0))
+    Lu = apply_kernel_quadrature(kf, f).values
+    whole = 0.5 * float(np.sum(f.values * Lu)) * (30.0 / n1) * (24.0 / n2)
+    assert energy(f, kf=kf, R=R).nonlocal_part == pytest.approx(whole,
+                                                                rel=1e-12)
+
+
+@st.composite
+def in_region_kernels(draw):
+    """The kernel of a random material inside the region of case I, II or
+    III."""
+    name = draw(st.sampled_from(["I", "II", "III"]))
+    if name == "III":
+        ec = ElasticConstants(*(draw(st.floats(lo, hi)) for lo, hi in (
+            (2.0, 5.0), (0.3, 1.5), (2.0, 4.0), (0.8, 1.5), (0.5, 2.5))))
+        assume(regions.in_region_case3(ec))
+        return kernels.kernel_case3(derive_parallel(ec))
+    nu, delta = draw(st.floats(-0.9, 0.49)), draw(st.floats(0.1, 3.9))
+    assume(regions.in_ellipticity_strip(nu, delta))
+    dp = perp_from_parameters(draw(st.floats(0.5, 2.0)), nu, delta)
+    assume(regions.case(name).member(dp))
+    return regions.case(name).kernel(dp)
+
+
+@given(kf=in_region_kernels(), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from([32, 64]), L_cell=st.floats(8.0, 60.0),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_localized_energy_positive_and_nondecreasing_in_radius(
+        kf, seed, n, L_cell, data):
+    # band-limited fields (|m1|, |m2| <= kmax <= n/8) resolve the grid
+    # kernel's ripple; the benchmark's energy_monotone check rests on this
+    kmax = data.draw(st.integers(1, n // 8))
+    rng = np.random.default_rng(seed)
+    c = np.zeros((n, n), dtype=complex)
+    m = np.arange(-kmax, kmax + 1) % n
+    c[np.ix_(m, m)] = (rng.standard_normal((m.size, m.size))
+                       + 1j * rng.standard_normal((m.size, m.size)))
+    f = GridField2D(L_cell, L_cell, np.fft.ifft2(c).real)
+    radii = np.linspace(L_cell / n, L_cell / 2, 25)
+    e = np.array([r.nonlocal_part for r in localized_energies(f, kf, radii)])
+    assert e[0] > 0.0 and np.all(np.diff(e) >= 0.0), e
 
 
 @given(c=st.floats(-2.0, 2.0))
@@ -398,7 +451,7 @@ def test_apply_is_bitwise_rfft2_irfft2(shape, in_place, monkeypatch):
 @pytest.mark.skipif(not _NUMPY_2, reason="np.fft takes out= from numpy 2.0")
 def test_localized_energy_memory_peak():
     # one complex half spectrum (about one field size) and one real work
-    # array per call, next to the field and the real kernel spectrum
+    # array per call, next to the field and the real half-spectrum multiplier
     rng = np.random.default_rng(9)
     f = GridField2D(64.0, 64.0, rng.standard_normal((256, 256)))
     kf = kernels.kernel_isotropic(1.0, 0.75)
